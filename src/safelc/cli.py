@@ -92,7 +92,22 @@ def _load_env(text: str, as_json: bool):
 _ENV_HELP = "types of free variables, e.g. 'z:o, f:o->o'"
 
 
-@click.group()
+class _GuardedGroup(click.Group):
+    """Maps failures no command handles to exit codes instead of tracebacks."""
+
+    def invoke(self, ctx):
+        as_json = "--json" in ctx.args
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except RecursionError:
+            _fail(EXIT_BUDGET, "input nested too deeply", as_json)
+        except Exception as exc:
+            _fail(EXIT_CONTRACT, f"unexpected {type(exc).__name__}: {exc}", as_json)
+
+
+@click.group(cls=_GuardedGroup)
 @click.version_option(version=__version__, prog_name="safelc")
 def main():
     """Workbench for safe lambda terms."""
@@ -456,3 +471,7 @@ def corpus(count, seed, jobs, as_json):
     }
     _emit(as_json, payload, lines)
     sys.exit(0 if not bad else EXIT_NEGATIVE)
+
+
+if __name__ == "__main__":
+    main()

@@ -39,7 +39,7 @@ from .syntax import (
     arrow,
     mk_abs,
     parse,
-    primed,
+    rename_reserved,
 )
 
 
@@ -223,26 +223,13 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(tuple(variables), padded)
 
 
-def _fresh_params(names: tuple[str, ...]) -> dict[str, str]:
-    used = set(_RESERVED) | set(names)
-    params = {}
-    for v in names:
-        if v in _RESERVED:
-            fresh = primed(v, used)
-            used.add(fresh)
-            params[v] = fresh
-        else:
-            params[v] = v
-    return params
-
-
 def compile_polynomial(p: Polynomial) -> Term:
     """A Safe term of type nat -> ... -> nat computing `p`.
 
     Monomials fold through MUL, the results through ADD; argument order
     follows p.variables.
     """
-    params = _fresh_params(p.variables)
+    params = rename_reserved(p.variables, _RESERVED)
 
     def monomial(exps: tuple[int, ...], coeff: int) -> Term:
         factors: list[Term] = []
@@ -331,10 +318,6 @@ def word_type(alphabet: str) -> SimpleType:
     )
 
 
-def _letter_params(alphabet: str) -> dict[str, str]:
-    return _fresh_params(tuple(alphabet))
-
-
 def _spine(text: str, letter_term, end: Term) -> Term:
     out = end
     for ch in reversed(text):
@@ -344,7 +327,7 @@ def _spine(text: str, letter_term, end: Term) -> Term:
 
 def church_word(w: Word) -> Term:
     """One order-1 parameter per letter; leftmost letter outermost."""
-    params = _letter_params(w.alphabet)
+    params = rename_reserved(w.alphabet, _RESERVED)
     binders = tuple((params[ch], arrow(GROUND, GROUND)) for ch in w.alphabet)
     binders += (("z", GROUND),)
     body = _spine(w.letters, lambda ch: Var(params[ch]), Var("z"))
@@ -487,7 +470,7 @@ def _check_letters(text: str, alphabet: str):
 def compile_word_function(spec: WordFunctionSpec, alphabet: str) -> Term:
     """A Safe closed term of type word -> word computing `spec`."""
     wt = word_type(alphabet)
-    params = _letter_params(alphabet)
+    params = rename_reserved(alphabet, _RESERVED)
     letter = lambda ch: Var(params[ch])
     param_vars = tuple(letter(ch) for ch in alphabet)
     binders = (("w", wt),)

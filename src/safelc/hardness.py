@@ -34,7 +34,7 @@ from .qbf import (
     qbf_text,
 )
 from .qbf_oracle import eval_qbf
-from .syntax import GROUND, Abs, App, SimpleType, Term, Var, arrow, parse, pretty, primed
+from .syntax import GROUND, Abs, App, SimpleType, Term, Var, arrow, parse, pretty, rename_reserved
 
 BOOL = arrow(GROUND, GROUND, GROUND)
 
@@ -52,19 +52,6 @@ _RESERVED = frozenset({"p", "q", "x", "y", "G"})
 
 def _boolean_function_type(k: int) -> SimpleType:
     return arrow(*([BOOL] * k), BOOL)
-
-
-def _renamed(prefix) -> dict[str, str]:
-    used = set(_RESERVED) | {name for _, name in prefix}
-    out = {}
-    for _, name in prefix:
-        if name in _RESERVED:
-            fresh = primed(name, used)
-            used.add(fresh)
-            out[name] = fresh
-        else:
-            out[name] = name
-    return out
 
 
 def _compile_matrix(f: Formula, names: dict[str, str]) -> Term:
@@ -91,7 +78,7 @@ def qbf_to_term(f: QBF) -> Term:
     B^k -> B term in the sampling gadget for quantifier k, so the result
     has size O(q^2 + |matrix|).
     """
-    names = _renamed(f.prefix)
+    names = rename_reserved([name for _, name in f.prefix], _RESERVED)
     binders = tuple((names[name], BOOL) for _, name in f.prefix)
     term: Term = Abs(binders, _compile_matrix(f.matrix, names))
     for k in range(len(f.prefix) - 1, -1, -1):

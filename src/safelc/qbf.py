@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import ParseError
+from .syntax import ParseError, _position
 
 
 class Quantifier(enum.Enum):
@@ -148,9 +148,7 @@ class _Parser:
         self.i = 0
 
     def _error_at(self, pos: int, message: str) -> ParseError:
-        line = self.text.count("\n", 0, pos) + 1
-        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return ParseError(message, line, column)
+        return ParseError(message, *_position(self.text, pos))
 
     def error(self, message: str) -> ParseError:
         pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)

@@ -107,22 +107,27 @@ class SubstResult(NamedTuple):
     captured: bool
 
 
-def _subst_textual(term: Term, mapping: Substitution) -> tuple[Term, frozenset[str]]:
-    # returns the substituted term plus the set of binder names that
-    # captured a free variable of some landed image
-    no_capture: frozenset[str] = frozenset()
+_NO_CAPTURE: frozenset[str] = frozenset()
+
+
+def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, frozenset[str]]:
+    # One walk for both disciplines.  Returns the substituted term plus
+    # the binder names that captured a free variable of some landed image.
+    # A binder clashes when it names a free variable of an image that lands
+    # under it; with `rename` the binder is renamed out of the way (so the
+    # set stays empty), without it the clash is reported.
     if not mapping:
-        return term, no_capture
+        return term, _NO_CAPTURE
     if isinstance(term, Var):
-        image = mapping.get(term.name)
-        return (term if image is None else image), no_capture
+        return mapping.get(term.name, term), _NO_CAPTURE
     if isinstance(term, App):
-        head, captured = _subst_textual(term.head, mapping)
+        head, captured = _subst(term.head, mapping, rename)
         args = []
         changed = head is not term.head
         for a in term.args:
-            new, c = _subst_textual(a, mapping)
-            captured |= c
+            new, c = _subst(a, mapping, rename)
+            if c:
+                captured |= c
             changed = changed or new is not a
             args.append(new)
         if not changed:
@@ -136,15 +141,29 @@ def _subst_textual(term: Term, mapping: Substitution) -> tuple[Term, frozenset[s
         if x in term.body.free_names and x not in shadowed
     }
     if not active:
-        return term, no_capture
-    captured = frozenset(
+        return term, _NO_CAPTURE
+    clashing = frozenset(
         y for y in shadowed if any(y in u.free_names for u in active.values())
     )
-    body, inner = _subst_textual(term.body, active)
-    captured |= inner
-    if body is term.body:
-        return term, captured
-    return mk_abs(term.binders, body), captured
+    binders = term.binders
+    if clashing and rename:
+        used = set(term.body.free_names) | set(shadowed) | set(active)
+        for u in active.values():
+            used |= u.free_names
+        renamed = []
+        for y, ty in binders:
+            if y in clashing:
+                fresh = primed(y, used)
+                used.add(fresh)
+                active[y] = Var(fresh)
+                y = fresh
+            renamed.append((y, ty))
+        binders = tuple(renamed)
+        clashing = _NO_CAPTURE
+    body, captured = _subst(term.body, active, rename)
+    if binders is term.binders and body is term.body:
+        return term, clashing | captured
+    return mk_abs(binders, body), clashing | captured
 
 
 def subst_no_rename(term: Term, s: Substitution) -> SubstResult:
@@ -155,7 +174,7 @@ def subst_no_rename(term: Term, s: Substitution) -> SubstResult:
     the safety discipline the flag provably stays false; on arbitrary
     terms the caller must check it.
     """
-    out, names = _subst_textual(term, s)
+    out, names = _subst(term, s, rename=False)
     return SubstResult(out, bool(names))
 
 
@@ -165,44 +184,7 @@ def subst_capture_avoiding(term: Term, s: Substitution) -> Term:
     Bound variables are renamed only when a capture would occur; fresh
     names come from the deterministic primed scheme (y, y'1, y'2, ...).
     """
-    if not s:
-        return term
-    if isinstance(term, Var):
-        return s.get(term.name, term)
-    if isinstance(term, App):
-        head = subst_capture_avoiding(term.head, s)
-        args = tuple(subst_capture_avoiding(a, s) for a in term.args)
-        if head is term.head and all(n is o for n, o in zip(args, term.args)):
-            return term
-        return mk_app(head, args)
-    assert isinstance(term, Abs)
-    shadowed = term.binder_names
-    active = {
-        x: u for x, u in s.items() if x in term.body.free_names and x not in shadowed
-    }
-    if not active:
-        return term
-    clashing = {
-        y for y in shadowed if any(y in u.free_names for u in active.values())
-    }
-    if not clashing:
-        body = subst_capture_avoiding(term.body, active)
-        return term if body is term.body else mk_abs(term.binders, body)
-    used = set(term.body.free_names) | set(shadowed) | set(active)
-    for u in active.values():
-        used |= u.free_names
-    renaming: dict[str, Term] = {}
-    binders = []
-    for y, ty in term.binders:
-        if y in clashing:
-            fresh = primed(y, used)
-            used.add(fresh)
-            renaming[y] = Var(fresh)
-            binders.append((fresh, ty))
-        else:
-            binders.append((y, ty))
-    body = subst_capture_avoiding(term.body, {**active, **renaming})
-    return mk_abs(tuple(binders), body)
+    return _subst(term, s, rename=True)[0]
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +222,7 @@ def _contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
     j = min(len(head.binders), len(args))
     used, remaining = head.binders[:j], head.binders[j:]
     mapping = {x: a for (x, _), a in zip(used, args)}
-    body, captured = _subst_textual(head.body, mapping)
+    body, captured = _subst(head.body, mapping, rename=False)
     if remaining:
         # a partial contraction re-wraps the leftover binders around the
         # substituted body, which can bind argument variables just as an

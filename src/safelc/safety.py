@@ -63,11 +63,6 @@ class TooManyArgumentsError(TypeCheckError):
     pass
 
 
-def order_of(t: SimpleType) -> int:
-    """0 for the ground type, else 1 + the maximal argument order."""
-    return t.order
-
-
 class Level(enum.IntEnum):
     ILL_TYPED = 0
     UNSAFE_TYPABLE = 1
@@ -155,6 +150,18 @@ def _where(path) -> str:
     return ".".join(reversed(steps))
 
 
+def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: str) -> TypeCheckError:
+    """The error for argument i of nargs, of type got, given to head."""
+    if i >= len(head.arguments):
+        return TooManyArgumentsError(
+            f"term of type {type_text(head)} applied to {nargs} arguments", location
+        )
+    return ArgumentMismatchError(
+        f"argument type mismatch: expected {type_text(head.arguments[i])}, got {type_text(got)}",
+        location,
+    )
+
+
 def _type_of(ctx: dict[str, SimpleType], term: Term, path=None) -> SimpleType:
     # the location is only spelled out when an error is raised
     if isinstance(term, Var):
@@ -172,16 +179,8 @@ def _type_of(ctx: dict[str, SimpleType], term: Term, path=None) -> SimpleType:
         wanted = head.arguments
         for i, arg in enumerate(term.args):
             got = _type_of(ctx, arg, (path, i))
-            if i >= len(wanted):
-                raise TooManyArgumentsError(
-                    f"term of type {type_text(head)} applied to {len(term.args)} arguments",
-                    _where((path, i)),
-                )
-            if got != wanted[i]:
-                raise ArgumentMismatchError(
-                    f"argument type mismatch: expected {type_text(wanted[i])}, got {type_text(got)}",
-                    _where((path, i)),
-                )
+            if i >= len(wanted) or got != wanted[i]:
+                raise _arg_error(head, len(term.args), i, got, _where((path, i)))
         return SimpleType(wanted[len(term.args):])
     raise TypeError(f"not a term: {term!r}")
 
@@ -196,48 +195,48 @@ def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
 
     The trace holds one entry per node in pre-order.  Failures below the
     root demote the verdict to UnsafeTypable; a failure at the root alone
-    gives AlmostSafe.
+    gives AlmostSafe.  Typing happens in the same walk, in the order of
+    `simple_type_of`, so an ill-typed term reports the same first error.
     """
-    try:
-        simple_type_of(env, term)
-    except TypeCheckError as e:
-        entry = TraceEntry(rule="type-error", location=e.location, ok=False, note=e.message)
-        return SafetyVerdict(Level.ILL_TYPED, None, (entry,))
-
-    trace: list[TraceEntry] = []
+    trace: list[Optional[TraceEntry]] = []
     root_failed = False
     inner_failed = False
 
     def walk(t: Term, ctx: dict[str, SimpleType], location: str) -> SimpleType:
         nonlocal root_failed, inner_failed
         if isinstance(t, Var):
-            ty = ctx[t.name]
+            ty = ctx.get(t.name)
+            if ty is None:
+                raise UnboundVariableError(f"unbound variable {t.name!r}", location)
             trace.append(TraceEntry(rule="var", location=location, term_order=ty.order))
             return ty
+        pos = len(trace)
+        trace.append(None)  # this block's entry, filled in below
         if isinstance(t, Abs):
+            rule = "abs"
             inner = dict(ctx)
             inner.update(t.binders)
-            pos = len(trace)
-            trace.append(TraceEntry(rule="abs", location=location))  # placeholder order
             body = walk(t.body, inner, _join(location, "body"))
             ty = SimpleType(tuple(b for _, b in t.binders) + body.arguments)
-        else:
-            assert isinstance(t, App)
-            pos = len(trace)
-            trace.append(TraceEntry(rule="app", location=location))
+        elif isinstance(t, App):
+            rule = "app"
             head = walk(t.head, ctx, _join(location, "head"))
+            wanted = head.arguments
             for i, arg in enumerate(t.args):
-                walk(arg, ctx, _join(location, f"arg{i}"))
-            ty = head.apply(len(t.args))
+                where = _join(location, f"arg{i}")
+                got = walk(arg, ctx, where)
+                if i >= len(wanted) or got != wanted[i]:
+                    raise _arg_error(head, len(t.args), i, got, where)
+            ty = SimpleType(wanted[len(t.args):])
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
         # the block's order condition against its free variables
         worst_name, worst_order = None, None
-        for name in sorted(t.free_names):
-            o = ctx[name].order
-            if worst_order is None or o < worst_order:
-                worst_name, worst_order = name, o
+        if t.free_names:
+            worst_name = min(t.free_names, key=lambda n: (ctx[n].order, n))
+            worst_order = ctx[worst_name].order
         ok = worst_order is None or worst_order >= ty.order
-        rule = "abs" if isinstance(t, Abs) else "app"
         trace[pos] = TraceEntry(
             rule=rule,
             location=location,
@@ -253,7 +252,11 @@ def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
                 inner_failed = True
         return ty
 
-    ty = walk(term, dict(env), "")
+    try:
+        ty = walk(term, dict(env), "")
+    except TypeCheckError as e:
+        entry = TraceEntry(rule="type-error", location=e.location, ok=False, note=e.message)
+        return SafetyVerdict(Level.ILL_TYPED, None, (entry,))
     if inner_failed:
         level = Level.UNSAFE_TYPABLE
     elif root_failed:

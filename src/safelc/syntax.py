@@ -29,9 +29,9 @@ Abs(binders=((f, o->o), (x, o)), body=App(head=Var(name=f), args=(Var(name=x),))
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 
 class ParseError(Exception):
@@ -76,12 +76,6 @@ class SimpleType:
         if not self.arguments:
             return 0
         return 1 + max(a.order for a in self.arguments)
-
-    def apply(self, n: int) -> "SimpleType":
-        """The type left after consuming the first n arguments."""
-        if n > len(self.arguments):
-            raise ValueError(f"type {self} has only {len(self.arguments)} arguments")
-        return SimpleType(self.arguments[n:])
 
     def __str__(self) -> str:
         return type_text(self, spaced=True)
@@ -222,6 +216,24 @@ def primed(base: str, used) -> str:
     return f"{base}'{k}"
 
 
+def rename_reserved(names, reserved) -> dict[str, str]:
+    """Map each of `names` to itself, or, when `reserved`, to a primed name.
+
+    Fresh names avoid `reserved`, `names` and each other, so a template
+    that binds the reserved names can take the others as parameters.
+    """
+    used = set(reserved) | set(names)
+    out = {}
+    for name in names:
+        if name in reserved:
+            fresh = primed(name, used)
+            used.add(fresh)
+            out[name] = fresh
+        else:
+            out[name] = name
+    return out
+
+
 def all_names(term: Term) -> frozenset[str]:
     """Every variable name occurring anywhere, bound, binding or free."""
     out: set[str] = set()
@@ -344,77 +356,61 @@ def alpha_eq(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|[\\.():]")
-_SKIP_RE = re.compile(r"\S")
-
-
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while True:
-        m = _SKIP_RE.search(text, pos)
-        if m is None:
-            break
-        # count the newlines we skipped over
-        for nl in re.finditer(r"\n", text[pos:m.start()]):
-            line += 1
-            line_start = pos + nl.end()
-        pos = m.start()
-        tm = _TOKEN_RE.match(text, pos)
-        if tm is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        tokens.append(_Token(tm.group(), line, pos - line_start + 1))
-        pos = tm.end()
-    return tokens
-
+# a token, or any other non-space character, which is an error
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|->|[\\.():])|\S")
 
 _RESERVED = {"\\", ".", "(", ")", ":", "->"}
 
 
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset into `text`."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], text_len_hint: int = 0):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        # token texts and offsets; the None sentinel sits at end of input
+        self.tokens: list[Optional[str]] = []
+        self.offsets: list[int] = []
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group(1)
+            if tok is None:
+                self.fail_at(m.start(), f"unexpected character {m.group()!r}")
+            self.tokens.append(tok)
+            self.offsets.append(m.start())
+        self.offsets.append(self.offsets[-1] + len(self.tokens[-1]) if self.tokens else 0)
+        self.tokens.append(None)
         self.i = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.i].text if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
-    def here(self) -> tuple[int, int]:
-        if self.i < len(self.tokens):
-            t = self.tokens[self.i]
-            return t.line, t.column
-        if self.tokens:
-            t = self.tokens[-1]
-            return t.line, t.column + len(t.text)
-        return 1, 1
+    def fail_at(self, offset: int, msg: str):
+        raise ParseError(msg, *_position(self.text, offset))
 
     def fail(self, msg: str):
-        raise ParseError(msg, *self.here())
+        self.fail_at(self.offsets[self.i], msg)
 
-    def advance(self) -> _Token:
-        if self.i >= len(self.tokens):
+    def advance(self) -> str:
+        tok = self.tokens[self.i]
+        if tok is None:
             self.fail("unexpected end of input")
-        t = self.tokens[self.i]
         self.i += 1
-        return t
+        return tok
 
-    def expect(self, text: str) -> _Token:
-        if self.peek() != text:
+    def expect(self, text: str) -> str:
+        if self.tokens[self.i] != text:
             self.fail(f"expected {text!r}, found {self.peek()!r}")
         return self.advance()
 
-    def ident(self, what: str = "identifier") -> _Token:
-        if self.peek() is None or self.peek() in _RESERVED:
-            self.fail(f"expected {what}, found {self.peek()!r}")
-        return self.advance()
+    def ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.i]
+        if tok is None or tok in _RESERVED:
+            self.fail(f"expected {what}, found {tok!r}")
+        self.i += 1
+        return tok
 
     # type ::= tatom ('->' type)?
     def parse_type(self) -> SimpleType:
@@ -431,9 +427,10 @@ class _Parser:
             t = self.parse_type()
             self.expect(")")
             return t
+        at = self.offsets[self.i]
         tok = self.ident("type")
-        if tok.text != "o":
-            raise ParseError(f"unknown type atom {tok.text!r}", tok.line, tok.column)
+        if tok != "o":
+            self.fail_at(at, f"unknown type atom {tok!r}")
         return GROUND
 
     def parse_term(self) -> Term:
@@ -446,14 +443,15 @@ class _Parser:
         binders: list[Binder] = []
         names_seen: set[str] = set()
         while self.peek() != ".":
-            tok = self.ident("binder")
-            if tok.text in names_seen:
-                raise ParseError(f"duplicate binder {tok.text!r} in one block", tok.line, tok.column)
-            names_seen.add(tok.text)
+            at = self.offsets[self.i]
+            name = self.ident("binder")
+            if name in names_seen:
+                self.fail_at(at, f"duplicate binder {name!r} in one block")
+            names_seen.add(name)
             if self.peek() != ":":
-                self.fail(f"binder {tok.text!r} lacks a type annotation")
+                self.fail(f"binder {name!r} lacks a type annotation")
             self.advance()
-            binders.append((tok.text, self.parse_type()))
+            binders.append((name, self.parse_type()))
         self.expect(".")
         body = self.parse_term()
         return Abs(tuple(binders), body)
@@ -472,7 +470,7 @@ class _Parser:
             t = self.parse_term()
             self.expect(")")
             return t
-        return Var(self.ident("variable").text)
+        return Var(self.ident("variable"))
 
 
 def parse(text: str, canonical: bool = True) -> Term:
@@ -481,7 +479,7 @@ def parse(text: str, canonical: bool = True) -> Term:
     Pass canonical=False to keep the grouping exactly as written, e.g. to
     feed the safety checker an ungrouped abstraction chain.
     """
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     if p.peek() is None:
         p.fail("empty input")
     t = p.parse_term()
@@ -491,7 +489,7 @@ def parse(text: str, canonical: bool = True) -> Term:
 
 
 def parse_type(text: str) -> SimpleType:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     if p.peek() is None:
         p.fail("empty input")
     t = p.parse_type()
@@ -544,34 +542,3 @@ def pretty(term: Term, level: int = 0) -> str:
         s = " ".join(parts)
         return f"({s})" if level >= 2 else s
     raise TypeError(f"not a term: {term!r}")
-
-
-def to_json(term: Term) -> dict:
-    """JSON-shaped tree with node kinds var/abs/app; types as compact text."""
-    if isinstance(term, Var):
-        return {"kind": "var", "name": term.name}
-    if isinstance(term, Abs):
-        return {
-            "kind": "abs",
-            "binders": [{"name": n, "type": type_text(t)} for n, t in term.binders],
-            "body": to_json(term.body),
-        }
-    if isinstance(term, App):
-        return {
-            "kind": "app",
-            "head": to_json(term.head),
-            "args": [to_json(a) for a in term.args],
-        }
-    raise TypeError(f"not a term: {term!r}")
-
-
-def from_json(data: dict) -> Term:
-    kind = data.get("kind")
-    if kind == "var":
-        return Var(data["name"])
-    if kind == "abs":
-        binders = tuple((b["name"], parse_type(b["type"])) for b in data["binders"])
-        return Abs(binders, from_json(data["body"]))
-    if kind == "app":
-        return App(from_json(data["head"]), tuple(from_json(a) for a in data["args"]))
-    raise ValueError(f"unknown node kind {kind!r}")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import safelc
 from safelc.cli import main
 from safelc.syntax import alpha_eq, parse
 
@@ -172,6 +177,27 @@ def test_eq_step_budget_exits_three(runner, lamfile):
     assert r.exit_code == 3
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_eq_deep_input_exits_three_without_traceback(runner, lamfile, flags):
+    n = 4000
+    path = lamfile("deep.lam", r"\s:o->o z:o. " + "s (" * n + "z" + ")" * n)
+    r = invoke(runner, ["eq", path, path] + flags)
+    assert r.exit_code == 3
+    assert "input nested too deeply" in r.output
+    assert "Traceback" not in r.output
+
+
+def test_unexpected_exception_exits_four(runner, lamfile, monkeypatch):
+    def broken(env, term):
+        raise RuntimeError("broken checker")
+
+    monkeypatch.setattr("safelc.cli.safety_check", broken)
+    r = invoke(runner, ["check", lamfile("id.lam", r"\x:o. x")])
+    assert r.exit_code == 4
+    assert "broken checker" in r.output
+    assert "Traceback" not in r.output
+
+
 # -- poly --------------------------------------------------------------
 
 
@@ -282,6 +308,21 @@ def test_qbf_false_formula(runner):
     r = invoke(runner, ["qbf", "forall x. x"])
     assert r.exit_code == 1
     assert r.output.strip() == "false; term normalizes to church false; oracle agrees"
+
+
+def test_module_entry_point_runs_commands():
+    src = str(Path(safelc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    r = subprocess.run(
+        [sys.executable, "-m", "safelc.cli", "qbf", "forall v1. exists v2. v1 & v2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert r.returncode == 1
+    assert r.stdout.split(";")[0] == "false"
 
 
 def test_qbf_true_formula(runner):

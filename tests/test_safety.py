@@ -1,4 +1,5 @@
 import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
 
 from safelc.safety import (
@@ -9,12 +10,11 @@ from safelc.safety import (
     UnboundVariableError,
     eta_long,
     homogeneity_check,
-    order_of,
     safety_check,
     simple_type_of,
 )
 from safelc.syntax import alpha_eq, parse, parse_env, parse_type, pretty
-from termgen import terms
+from termgen import names, terms, types
 
 
 def check(src, env="", canonical=True):
@@ -22,9 +22,9 @@ def check(src, env="", canonical=True):
 
 
 def test_order_of():
-    assert order_of(parse_type("o")) == 0
-    assert order_of(parse_type("o->o->o")) == 1
-    assert order_of(parse_type("(o->o)->o")) == 2
+    assert parse_type("o").order == 0
+    assert parse_type("o->o->o").order == 1
+    assert parse_type("(o->o)->o").order == 2
 
 
 def test_simple_type_of():
@@ -181,3 +181,16 @@ def test_safe_traces_have_no_failures(t):
         assert not v.failures
     if v.level == Level.ALMOST_SAFE:
         assert all(e.location == "" for e in v.failures)
+
+
+@hyp.given(terms, st.dictionaries(names, types))
+def test_ill_typed_entry_matches_simple_type_of(t, env):
+    v = safety_check(env, t)
+    try:
+        simple_type_of(env, t)
+    except TypeCheckError as e:
+        assert v.level == Level.ILL_TYPED
+        (entry,) = v.trace
+        assert (entry.rule, entry.note, entry.location) == ("type-error", e.message, e.location)
+    else:
+        assert v.level != Level.ILL_TYPED

@@ -14,14 +14,12 @@ from safelc.syntax import (
     arrow,
     canonicalize,
     free_vars,
-    from_json,
     is_canonical,
     parse,
     parse_env,
     parse_type,
     pretty,
     primed,
-    to_json,
     type_text,
 )
 from termgen import terms
@@ -148,6 +146,12 @@ def test_parse_errors_carry_position():
         parse("x @ y")
     with pytest.raises(ParseError, match="unknown type atom"):
         parse(r"\x:nat. x")
+    with pytest.raises(ParseError, match="unexpected character '@'") as e:
+        parse("\\x:o f:o->o.\n  f\n   (x @ x)")
+    assert (e.value.line, e.value.column) == (3, 7)
+    with pytest.raises(ParseError, match=r"expected '\)', found None") as e:
+        parse("\\x:o.\n  (x\n  x  \n")
+    assert (e.value.line, e.value.column) == (3, 4)
 
 
 def test_parse_env():
@@ -156,14 +160,6 @@ def test_parse_env():
     assert parse_env("") == {}
     with pytest.raises(ValueError):
         parse_env("f:o->o, f:o")
-
-
-def test_json_round_trip_hand():
-    t = parse(r"\f:o->o x:o. f x")
-    d = to_json(t)
-    assert d["kind"] == "abs"
-    assert d["binders"][0] == {"name": "f", "type": "o->o"}
-    assert from_json(d) == t
 
 
 def test_all_names():
@@ -191,11 +187,6 @@ def test_pretty_parse_round_trip(t):
 @hyp.given(terms)
 def test_pretty_parse_round_trip_raw(t):
     assert parse(pretty(t), canonical=False) == t
-
-
-@hyp.given(terms)
-def test_json_round_trip(t):
-    assert from_json(to_json(t)) == t
 
 
 @hyp.given(terms)
