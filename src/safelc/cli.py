@@ -31,9 +31,9 @@ from .games import (
     build_computation_tree,
     core_indices,
     enumerate_traversals,
+    normal_form_of_traversals,
     p_view_indices,
     parity,
-    traversal_normal_form,
 )
 from .hardness import CHURCH_TRUE, equality_instance, qbf_to_term
 from .qbf import parse_qbf, qbf_text
@@ -46,7 +46,7 @@ from .reduction import (
     reduction_sequence,
 )
 from .reduction import normalize as _normalize
-from .safety import Level, TypeCheckError, safety_check
+from .safety import Level, TypeCheckError, safety_check, simple_type_of
 from .syntax import ParseError, mk_app, parse, parse_env, pretty
 
 EXIT_NEGATIVE = 1
@@ -155,6 +155,11 @@ def check(termfile, env_text, trace, as_json):
 def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
     """Normal form of the term in TERMFILE."""
     term = _load_term(termfile, as_json)
+    if not term.free_names:  # open input has no --env to type it against
+        try:
+            simple_type_of({}, term)
+        except TypeCheckError as exc:
+            _fail(EXIT_USAGE, str(exc), as_json)
     budget = ReductionBudget(max_steps, max_size)
     steps = []
     count = -1
@@ -378,7 +383,7 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc), as_json)
     try:
-        nf = traversal_normal_form(tree, budget=max_length)
+        nf = normal_form_of_traversals(tree, traversals)
     except BudgetExceededError as exc:
         _fail(EXIT_BUDGET, str(exc), as_json)
 

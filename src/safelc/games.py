@@ -16,11 +16,10 @@ comparisons against it behave as if the context were abstracted.
 """
 
 from dataclasses import dataclass, field
-from collections import deque
 from typing import NamedTuple, Optional, Union
 
 from .reduction import BudgetExceededError
-from .safety import eta_long, simple_type_of
+from .safety import eta_long
 from .syntax import (
     Abs,
     Binder,
@@ -87,57 +86,47 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
     arguments get an empty lambda node above them so the alternation
     holds everywhere.  Type errors surface before any node is built.
     """
-    expanded = eta_long(env, term)
-    ty = simple_type_of(env, expanded)
+    expanded = eta_long(env, term)  # the one type check
+    # an eta-long term abstracts every argument of its type
+    top = expanded.binders if isinstance(expanded, Abs) else ()
+    root_order = max(
+        [SimpleType(tuple(bty for _, bty in top)).order]
+        + [env[n].order + 1 for n in expanded.free_names]
+    )
     nodes: list[TreeNode] = []
-
-    def lam(t: Term, at: SimpleType, scope: dict) -> LambdaNode:
-        if isinstance(t, Abs):
-            binders, body = t.binders, t.body
-        else:
-            binders, body = (), t
-        node = LambdaNode(binders=binders, order=at.order, id=len(nodes))
-        nodes.append(node)
-        inner = dict(scope)
-        for name, bty in binders:
-            inner[name] = (node, bty)
-        node.children = (operator(body, inner),)
-        return node
-
-    def variable(v: Var, args: tuple[Term, ...], scope: dict) -> VarNode:
-        if v.name in scope:
-            binder, vty = scope[v.name]
-        else:
-            binder, vty = None, env[v.name]
-        node = VarNode(
-            name=v.name, ty=vty, binder=binder, order=vty.order, id=len(nodes)
-        )
-        nodes.append(node)
-        node.children = tuple(
-            lam(a, aty, scope) for a, aty in zip(args, vty.arguments)
-        )
-        return node
-
-    def operator(t: Term, scope: dict) -> TreeNode:
-        if isinstance(t, Var):
-            return variable(t, (), scope)
-        if isinstance(t.head, Var):
-            return variable(t.head, t.args, scope)
-        # redex: the operator is an abstraction, kept under an @ node
-        head = t.head
-        head_ty = SimpleType(tuple(bty for _, bty in head.binders))
-        node = AppNode(order=0, id=len(nodes))
-        nodes.append(node)
-        node.children = (lam(head, head_ty, scope),) + tuple(
-            lam(a, aty, scope) for a, aty in zip(t.args, head_ty.arguments)
-        )
-        return node
-
-    free = expanded.free_names
-    root_order = max([ty.order] + [env[n].order + 1 for n in free])
-    root = lam(expanded, SimpleType(), {})
-    root.order = root_order
-    return ComputationTree(root, tuple(nodes), expanded, dict(env))
+    # lambda nodes still to build: (term, order, scope, the parent's
+    # children, a list until every node is built)
+    todo = [(expanded, root_order, {}, [])]
+    while todo:
+        t, order, scope, siblings = todo.pop()
+        while True:
+            binders, body = (t.binders, t.body) if isinstance(t, Abs) else ((), t)
+            lam = LambdaNode(binders=binders, order=order, id=len(nodes))
+            siblings.append(lam)
+            nodes.append(lam)
+            if binders:
+                scope = dict(scope)
+                scope.update((name, (lam, bty)) for name, bty in binders)
+            head, args = (body, ()) if isinstance(body, Var) else (body.head, body.args)
+            if isinstance(head, Var):
+                binder, vty = scope.get(head.name) or (None, env[head.name])
+                op = VarNode(head.name, vty, binder, vty.order, len(nodes), [])
+                arg_types = vty.arguments
+            else:
+                # redex: the operator is an abstraction, kept under an @ node
+                head_ty = SimpleType(tuple(bty for _, bty in head.binders))
+                op = AppNode(order=0, id=len(nodes), children=[])
+                args, arg_types = (head,) + args, (head_ty,) + head_ty.arguments
+            lam.children = (op,)
+            nodes.append(op)
+            if not args:
+                break
+            for k in range(len(args) - 1, 0, -1):
+                todo.append((args[k], arg_types[k].order, scope, op.children))
+            t, order, siblings = args[0], arg_types[0].order, op.children
+    for node in nodes:
+        node.children = tuple(node.children)
+    return ComputationTree(nodes[0], tuple(nodes), expanded, dict(env))
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +158,10 @@ def p_view_indices(occurrences) -> list[int]:
 
     Walk backwards: from a lambda occurrence jump to its justifier, from
     any other occurrence step to the element just before it; stop at the
-    initial occurrence.
+    initial occurrence.  Every rule justifies a non-root lambda
+    occurrence by the occurrence just before it, so on a traversal (or a
+    prefix of one) the view is the whole sequence; the engine below
+    relies on that instead of building views.
     """
     if not occurrences:
         return []
@@ -185,78 +177,76 @@ def p_view_indices(occurrences) -> list[int]:
     return out
 
 
-def _binder_occurrence(occurrences, node: VarNode, root: LambdaNode):
-    target = node.binder if node.binder is not None else root
-    for i in reversed(p_view_indices(occurrences)):
-        if occurrences[i].node is target:
-            return i
-    return None
-
-
-def _is_input(occurrences, position: int) -> bool:
-    """A variable occurrence is an input when its justification chain
-    reaches the root without crossing an @ occurrence."""
-    j = occurrences[position].justifier
-    while j is not None:
-        if isinstance(occurrences[j].node, AppNode):
-            return False
-        j = occurrences[j].justifier
-    return True
-
-
-def _extensions(occurrences: tuple[Occurrence, ...], root: LambdaNode):
-    """All one-step extensions the rules license, in child order."""
-    if not occurrences:
-        return [Occurrence(root, None, "root")]
-    here = len(occurrences) - 1
-    node = occurrences[here].node
-    if isinstance(node, LambdaNode):
-        child = node.children[0]
-        if isinstance(child, AppNode):
-            return [Occurrence(child, here, "lam")]
-        at = _binder_occurrence(occurrences, child, root)
-        if at is None:
-            raise ValueError(f"binder of {child.name} missing from the view")
-        return [Occurrence(child, at, "lam")]
-    if isinstance(node, AppNode):
-        return [Occurrence(node.children[0], here, "app")]
-    if _is_input(occurrences, here):
-        # the environment answers: any argument of the variable may come next
-        return [Occurrence(c, here, "ivar") for c in node.children]
-    # internal variable: the next node is the argument standing for it,
-    # found under the occurrence its binder points back to
-    binder_at = occurrences[here].justifier
-    parent_at = occurrences[binder_at].justifier
-    parent = occurrences[parent_at].node
-    block = occurrences[binder_at].node.binders
-    index = next(i for i, (n, _) in enumerate(block) if n == node.name)
-    if isinstance(parent, AppNode):
-        child = parent.children[index + 1]
-    else:
-        child = parent.children[index]
-    return [Occurrence(child, here, "var")]
-
-
 def enumerate_traversals(
     tree: ComputationTree, max_len: int = 200
 ) -> tuple[Traversal, ...]:
-    """Breadth-first enumeration of the maximal traversals, children in
-    tree order, so the result order is canonical.  Traversals that could
-    still grow at max_len come back with maximal=False."""
+    """All maximal traversals in canonical order: by length, then by the
+    child order at the first choice where two part, as a breadth-first
+    walk finds them.  Traversals that could still grow at max_len come
+    back with maximal=False.
+
+    The walk is depth first over one shared prefix and copies a tuple
+    only for a finished traversal; a stable sort by length restores the
+    canonical order.  As every P-view is the whole prefix (see
+    `p_view_indices`), a variable's binder is the latest occurrence of
+    its node, kept in a table undone on backtrack, and a variable is an
+    input when the core flag stored as it is appended holds: O(1)
+    amortised per occurrence.
+    """
     if max_len < 1:
         raise ValueError("max_len must be positive")
+    root = tree.root
+    occs: list[Occurrence] = []
+    core: list[bool] = []  # no @ on the justification chain
+    latest = [-1] * len(tree.nodes)  # node id -> its latest index in occs
+    shadowed: list[int] = []  # the `latest` entry each occurrence replaced
     done: list[Traversal] = []
-    frontier: deque[tuple[Occurrence, ...]] = deque([()])
-    while frontier:
-        occs = frontier.popleft()
-        exts = _extensions(occs, tree.root)
-        if not exts:
-            done.append(Traversal(occs, maximal=True))
-        elif len(occs) >= max_len:
-            done.append(Traversal(occs, maximal=False))
-        else:
-            for e in exts:
-                frontier.append(occs + (e,))
+    pending = [(0, Occurrence(root, None, "root"))]  # (prefix length, next)
+    while pending:
+        depth, occ = pending.pop()
+        while len(occs) > depth:
+            latest[occs.pop().node.id] = shadowed.pop()
+            core.pop()
+        while True:
+            node, j = occ.node, occ.justifier
+            here = len(occs)
+            occs.append(occ)
+            core.append(not isinstance(node, AppNode) and (j is None or core[j]))
+            shadowed.append(latest[node.id])
+            latest[node.id] = here
+            others = ()
+            if isinstance(node, LambdaNode):
+                child = node.children[0]
+                if isinstance(child, AppNode):
+                    occ = Occurrence(child, here, "lam")
+                else:
+                    at = latest[(child.binder or root).id]
+                    if at < 0:
+                        raise ValueError(f"binder of {child.name} missing from the view")
+                    occ = Occurrence(child, at, "lam")
+            elif isinstance(node, AppNode):
+                occ = Occurrence(node.children[0], here, "app")
+            elif core[here]:
+                # an input: the environment may answer with any argument
+                if not node.children:
+                    done.append(Traversal(tuple(occs), maximal=True))
+                    break
+                occ = Occurrence(node.children[0], here, "ivar")
+                others = node.children[1:]
+            else:
+                # internal variable: the next node is the argument standing
+                # for it, found under the occurrence its binder points back to
+                parent = occs[occs[j].justifier].node
+                index = node.binder.binders.index((node.name, node.ty))
+                if isinstance(parent, AppNode):
+                    index += 1
+                occ = Occurrence(parent.children[index], here, "var")
+            if here + 1 >= max_len:
+                done.append(Traversal(tuple(occs), maximal=False))
+                break
+            if others:
+                pending.extend((here + 1, Occurrence(c, here, "ivar")) for c in reversed(others))
+    done.sort(key=len)
     return tuple(done)
 
 
@@ -328,44 +318,47 @@ def reconstruct_p_pointers(
     order strictly exceeds the variable's.  For traversals of safe terms that
     choice always lands on the binder, so uncovering loses nothing; where
     it lands elsewhere, the pointer was genuinely informative.
+
+    Every O pointer must name the position just before it, as in every
+    uncovered traversal, or ReconstructionError is raised.  The P-view is
+    then the whole prefix, so tables of the latest occurrence per node
+    and of the latest core lambda per order answer both lookups.
     """
+    root = tree.root
     occs: list[Occurrence] = []
     core: list[bool] = []
+    latest = [-1] * len(tree.nodes)  # node id -> its latest index
+    top: list[int] = []  # order -> index of the latest core lambda of it
     for i, entry in enumerate(play.entries):
         node = entry.node
         if isinstance(node, LambdaNode):
             j = entry.justifier
+            if j != (i - 1 if i else None):
+                raise ReconstructionError(
+                    i, f"O pointer {j} is not the previous position"
+                )
         elif isinstance(node, AppNode):
             j = i - 1
         else:
-            j = _var_pointer(occs, core, node, tree.root, i)
+            j = latest[(node.binder or root).id]
+            if j < 0:
+                raise ReconstructionError(i, f"binder of {node.name} not in the view")
+            if core[j]:  # otherwise hidden: no choice to reconstruct
+                j = max(top[node.order + 1:], default=-1)
+                if j < 0:
+                    raise ReconstructionError(
+                        i,
+                        f"no pending lambda of order above {node.order} for {node.name}",
+                    )
         occs.append(Occurrence(node, j, entry.rule))
         core.append(
             not isinstance(node, AppNode) and (j is None or core[j])
         )
+        latest[node.id] = i
+        if core[i] and isinstance(node, LambdaNode):
+            top.extend([-1] * (node.order + 1 - len(top)))
+            top[node.order] = i
     return Traversal(tuple(occs), play.maximal)
-
-
-def _var_pointer(occs, core, node: VarNode, root: LambdaNode, position: int):
-    binder_at = _binder_occurrence(occs, node, root)
-    if binder_at is None:
-        raise ReconstructionError(
-            position, f"binder of {node.name} not in the view"
-        )
-    if not core[binder_at]:
-        return binder_at  # hidden occurrence: no choice to reconstruct
-    for i in reversed(p_view_indices(occs)):
-        occ = occs[i]
-        if (
-            isinstance(occ.node, LambdaNode)
-            and core[i]
-            and occ.node.order > node.order
-        ):
-            return i
-    raise ReconstructionError(
-        position,
-        f"no pending lambda of order above {node.order} for {node.name}",
-    )
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +385,20 @@ def traversal_normal_form(tree: ComputationTree, budget: int = 200) -> Term:
     their common prefixes.  Raises BudgetExceededError when some
     traversal is still extendable at the length budget.
     """
-    traversals = enumerate_traversals(tree, budget)
-    cut = sum(1 for t in traversals if not t.maximal)
+    return normal_form_of_traversals(tree, enumerate_traversals(tree, budget))
+
+
+def normal_form_of_traversals(
+    tree: ComputationTree, traversals: tuple[Traversal, ...]
+) -> Term:
+    """`traversal_normal_form` from the result of
+    `enumerate_traversals(tree, budget)`, whose cut traversals all have
+    length budget."""
+    cut = [t for t in traversals if not t.maximal]
     if cut:
+        n, budget = len(cut), len(cut[0])
         raise BudgetExceededError(
-            budget,
-            cut,
-            f"{cut} traversal(s) still extendable at length {budget}",
+            budget, n, f"{n} traversal(s) still extendable at length {budget}"
         )
     trie = _TrieLam(tree.root)
     for t in traversals:

@@ -282,7 +282,8 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     Idempotent, and beta-eta equal to the input.
     """
     term = canonicalize(term)
-    simple_type_of(env, term)  # surface type errors before rewriting
+    ctx0 = dict(env)
+    ty = _type_of(ctx0, term)  # surface type errors before rewriting
 
     used = set(all_names(term)) | set(env)
     counter = [0]
@@ -325,5 +326,4 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
         new_args = tuple(expand(a, w, ctx) for a, w in zip(t.args, head_type.arguments))
         return mk_app(head, new_args)
 
-    ctx0 = dict(env)
-    return expand(term, _type_of(ctx0, term), ctx0)
+    return expand(term, ty, ctx0)

@@ -117,6 +117,17 @@ def test_normalize_step_budget_exits_three(runner, lamfile):
     assert r.exit_code == 3
 
 
+def test_normalize_ill_typed_is_usage_error(runner, lamfile):
+    # without a type check this runs until the step budget (exit 3)
+    path = lamfile("omega.lam", r"(\x:o. x x) (\x:o. x x)")
+    r = invoke(runner, ["normalize", path, "--max-steps", "50"])
+    assert r.exit_code == 2
+    assert "applied to 1 arguments" in r.output
+    r2 = invoke(runner, ["normalize", path, "--max-steps", "50", "--json"])
+    assert r2.exit_code == 2
+    assert "applied to 1 arguments" in json.loads(r2.output)["error"]
+
+
 def test_normalize_capture_flag_exits_four(runner, lamfile):
     path = lamfile("bait.lam", r"\y:o. (\x:o y:o. x) y")
     r = invoke(runner, ["normalize", path, "--strategy", "safe"])

@@ -1,5 +1,9 @@
+from collections import deque
+
+import hypothesis as hyp
 import pytest
 
+from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.games import (
     AppNode,
     ComputationTree,
@@ -19,9 +23,14 @@ from safelc.games import (
     traversal_normal_form,
     uncover,
 )
+from safelc.hardness import CHURCH_FALSE, CHURCH_TRUE, qbf_to_term
+from safelc.qbf import parse_qbf
+from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import BudgetExceededError, normalize
-from safelc.safety import Level, TypeCheckError, eta_long, safety_check
-from safelc.syntax import GROUND, App, alpha_eq, arrow, parse, pretty
+from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
+from safelc.syntax import GROUND, Abs, App, alpha_eq, arrow, parse, pretty
+
+from termgen import terms
 
 Y = {"y": GROUND}
 
@@ -316,3 +325,137 @@ def test_round_trip_keeps_rules_and_flags():
     back = reconstruct_p_pointers(uncover(tr), t)
     assert [o.rule for o in back.occurrences] == [o.rule for o in tr.occurrences]
     assert back.maximal
+
+
+def test_reconstruction_rejects_o_pointer_off_the_previous_position():
+    # the engine reads the P-view as the whole prefix, which holds only
+    # while every O pointer names the position just before it
+    t = tree_of(r"\a:o g:o->o. (\x:o f:o->o. f x) a g")
+    entries = list(uncover(the_traversal(t)).entries)
+    assert entries[6].justifier == 5
+    entries[6] = entries[6]._replace(justifier=0)
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_p_pointers(UncoveredPlay(tuple(entries)), t)
+    assert err.value.position == 6
+
+
+# --------------------------------------------------------------------------
+# the engine against the breadth-first algorithm it replaced
+
+
+def reference_traversals(tree, max_len):
+    """Breadth first, rebuilding the P-view at every extension: O(L^2)."""
+
+    def binder(occs, node):
+        target = node.binder or tree.root
+        return next(i for i in reversed(p_view_indices(occs)) if occs[i].node is target)
+
+    def extensions(occs):
+        if not occs:
+            return [Occurrence(tree.root, None, "root")]
+        here = len(occs) - 1
+        node = occs[here].node
+        if isinstance(node, LambdaNode):
+            child = node.children[0]
+            j = here if isinstance(child, AppNode) else binder(occs, child)
+            return [Occurrence(child, j, "lam")]
+        if isinstance(node, AppNode):
+            return [Occurrence(node.children[0], here, "app")]
+        if here in core_indices(Traversal(occs)):  # an input variable
+            return [Occurrence(c, here, "ivar") for c in node.children]
+        b = occs[here].justifier
+        parent = occs[occs[b].justifier].node
+        k = [n for n, _ in occs[b].node.binders].index(node.name)
+        return [Occurrence(parent.children[k + isinstance(parent, AppNode)], here, "var")]
+
+    done, frontier = [], deque([()])
+    while frontier:
+        occs = frontier.popleft()
+        exts = extensions(occs)
+        if not exts or len(occs) >= max_len:
+            done.append(Traversal(occs, maximal=not exts))
+        else:
+            frontier.extend(occs + (e,) for e in exts)
+    return tuple(done)
+
+
+def reference_reconstruct(play, tree):
+    """Pointer reconstruction walking the P-view at every variable."""
+    occs = []
+    for i, e in enumerate(play.entries):
+        node, j = e.node, e.justifier
+        if isinstance(node, AppNode):
+            j = i - 1
+        elif isinstance(node, VarNode):
+            view = p_view_indices(occs)[::-1]
+            target = node.binder or tree.root
+            j = next(k for k in view if occs[k].node is target)
+            core = set(core_indices(Traversal(tuple(occs))))
+            if j in core:
+                j = next(
+                    k
+                    for k in view
+                    if k in core
+                    and isinstance(occs[k].node, LambdaNode)
+                    and occs[k].node.order > node.order
+                )
+        occs.append(Occurrence(node, j, e.rule))
+    return Traversal(tuple(occs), play.maximal)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ReconstructionError, StopIteration):
+        return "no pointer"
+
+
+def assert_matches_reference(tree, lengths=(1, 3, 7, 40)):
+    for max_len in lengths:
+        got = enumerate_traversals(tree, max_len)
+        assert got == reference_traversals(tree, max_len)
+        for t in got:
+            play = uncover(t)
+            assert outcome(reconstruct_p_pointers, play, tree) == outcome(
+                reference_reconstruct, play, tree
+            )
+
+
+def test_engine_matches_reference_on_hand_corpus():
+    for e in HAND_CORPUS:
+        if e.level is not Level.ILL_TYPED:
+            assert_matches_reference(build_computation_tree(e.env, e.term), (1, 3, 7, 40, 200))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_engine_matches_reference_on_generated_corpus(seed):
+    for term in generate_safe_corpus(300, seed):
+        assert_matches_reference(build_computation_tree({}, term))
+
+
+@hyp.settings(max_examples=300, deadline=None)
+@hyp.given(terms)
+def test_engine_matches_reference_on_closed_typed_terms(raw):
+    free = tuple((n, GROUND) for n in sorted(raw.free_names))
+    term = Abs(free, raw) if free else raw
+    try:
+        simple_type_of({}, term)
+    except TypeCheckError:
+        hyp.reject()
+    assert_matches_reference(build_computation_tree({}, term))
+
+
+@pytest.mark.parametrize("rung", [10, 12])
+@pytest.mark.parametrize("connective", ["|", "&"])
+def test_traversal_decides_the_alternating_ladder(rung, connective):
+    names = [f"v{i + 1}" for i in range(rung)]
+    quantifiers = "".join(
+        f"{'forall' if i % 2 == 0 else 'exists'} {n}. " for i, n in enumerate(names)
+    )
+    f = parse_qbf(quantifiers + f" {connective} ".join(names))
+    t = build_computation_tree({}, qbf_to_term(f))
+    traversals = enumerate_traversals(t, max_len=100_000)
+    assert all(tr.maximal for tr in traversals)
+    assert all(reconstruct_p_pointers(uncover(tr), t) == tr for tr in traversals)
+    want = eta_long({}, CHURCH_TRUE if eval_qbf(f) else CHURCH_FALSE)
+    assert alpha_eq(traversal_normal_form(t, budget=100_000), want)
