@@ -8,6 +8,7 @@ Exit codes are part of the contract: 0 success, 1 negative verdict
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -71,25 +72,45 @@ def _emit(as_json: bool, payload: dict, lines):
             click.echo(line)
 
 
+@contextmanager
+def _user_text(as_json: bool, rejected, prefix: str = ""):
+    """Reading user text: `rejected` errors are usage errors, and an
+    overflow means the text itself is nested too deeply."""
+    try:
+        yield
+    except rejected as exc:
+        _fail(EXIT_USAGE, f"{prefix}{exc}", as_json)
+    except RecursionError:
+        _fail(EXIT_BUDGET, "input nested too deeply", as_json)
+
+
 def _load_term(path: str, as_json: bool):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot read {path}: {exc}", as_json)
-    try:
+    with _user_text(as_json, ParseError, f"{path}: "):
         return parse(text)
-    except ParseError as exc:
-        _fail(EXIT_USAGE, f"{path}: {exc}", as_json)
 
 
 def _load_env(text: str, as_json: bool):
-    try:
+    with _user_text(as_json, (ParseError, ValueError), "bad --env: "):
         return parse_env(text or "")
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_USAGE, f"bad --env: {exc}", as_json)
 
 
 _ENV_HELP = "types of free variables, e.g. 'z:o, f:o->o'"
+
+
+# Each library failure a command lets through: its exit code and message.
+# The first row whose classes match wins.
+_EXIT_TABLE = (
+    ((TypeCheckError, ParseError), EXIT_USAGE, "{exc}"),
+    ((BudgetExceededError,), EXIT_BUDGET, "{exc}"),
+    ((RecursionError,), EXIT_BUDGET, "a term computed from the input is nested too deeply"),
+    ((CaptureViolation,), EXIT_CONTRACT, "capture flag raised: {exc}"),
+    ((DecodeError,), EXIT_CONTRACT, "normal form is {exc}"),
+    ((Exception,), EXIT_CONTRACT, "unexpected {name}: {exc}"),
+)
 
 
 class _GuardedGroup(click.Group):
@@ -101,10 +122,10 @@ class _GuardedGroup(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
-        except RecursionError:
-            _fail(EXIT_BUDGET, "input nested too deeply", as_json)
         except Exception as exc:
-            _fail(EXIT_CONTRACT, f"unexpected {type(exc).__name__}: {exc}", as_json)
+            for classes, code, message in _EXIT_TABLE:
+                if isinstance(exc, classes):
+                    _fail(code, message.format(exc=exc, name=type(exc).__name__), as_json)
 
 
 @click.group(cls=_GuardedGroup)
@@ -156,24 +177,16 @@ def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
     """Normal form of the term in TERMFILE."""
     term = _load_term(termfile, as_json)
     if not term.free_names:  # open input has no --env to type it against
-        try:
-            simple_type_of({}, term)
-        except TypeCheckError as exc:
-            _fail(EXIT_USAGE, str(exc), as_json)
+        simple_type_of({}, term)
     budget = ReductionBudget(max_steps, max_size)
     steps = []
     count = -1
     last = term
-    try:
-        for t in reduction_sequence(term, strategy, budget):
-            count += 1
-            last = t
-            if trace:
-                steps.append(pretty(t))
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc), as_json)
-    except CaptureViolation as exc:
-        _fail(EXIT_CONTRACT, f"capture flag raised: {exc}", as_json)
+    for t in reduction_sequence(term, strategy, budget):
+        count += 1
+        last = t
+        if trace:
+            steps.append(pretty(t))
     lines = [f"[{i}] {s}" for i, s in enumerate(steps)]
     lines.append(pretty(last))
     payload = {"normal_form": pretty(last), "steps": count}
@@ -194,12 +207,7 @@ def eq(left, right, env_text, max_steps, max_size, as_json):
     env = _load_env(env_text, as_json)
     a = _load_term(left, as_json)
     b = _load_term(right, as_json)
-    try:
-        equal = beta_eta_equal(env, a, b, ReductionBudget(max_steps, max_size))
-    except TypeCheckError as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc), as_json)
+    equal = beta_eta_equal(env, a, b, ReductionBudget(max_steps, max_size))
     text = "beta-eta equal" if equal else "not beta-eta equal"
     _emit(as_json, {"equal": equal}, [text])
     sys.exit(0 if equal else EXIT_NEGATIVE)
@@ -236,10 +244,8 @@ def _parse_assignment(text: str, variables, as_json: bool) -> dict:
 @click.option("--json", "as_json", is_flag=True)
 def poly(expression, at_text, emit_term, as_json):
     """Compile EXPRESSION to a term over church numerals."""
-    try:
+    with _user_text(as_json, ValueError):
         p = parse_polynomial(expression)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
     term = compile_polynomial(p)
     verdict = safety_check({}, term)
     lines = [verdict.describe()]
@@ -255,12 +261,7 @@ def poly(expression, at_text, emit_term, as_json):
         values = _parse_assignment(at_text, p.variables, as_json)
         direct = p.evaluate(values)
         applied = mk_app(term, tuple(church_nat(values[v]) for v in p.variables))
-        try:
-            computed = decode_nat(_normalize(applied))
-        except (BudgetExceededError,) as exc:
-            _fail(EXIT_BUDGET, str(exc), as_json)
-        except DecodeError as exc:
-            _fail(EXIT_CONTRACT, f"normal form is not a numeral: {exc}", as_json)
+        computed = decode_nat(_normalize(applied))
         if computed != direct:
             _fail(
                 EXIT_CONTRACT,
@@ -288,20 +289,13 @@ def poly(expression, at_text, emit_term, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def word(alphabet, spec_path, input_text, emit_term, as_json):
     """Run a catalogued word function on INPUT via its term."""
-    try:
+    with _user_text(as_json, (ValueError, KeyError)):
         data = json.loads(Path(spec_path).read_text())
         spec = word_spec_from_json(data)
         w = Word(alphabet, input_text)
         term = compile_word_function(spec, alphabet)
-    except (ValueError, KeyError) as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
     direct = apply_word_function(spec, w)
-    try:
-        got = decode_word(_normalize(mk_app(term, (church_word(w),))), alphabet)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc), as_json)
-    except DecodeError as exc:
-        _fail(EXIT_CONTRACT, f"normal form is not a word: {exc}", as_json)
+    got = decode_word(_normalize(mk_app(term, (church_word(w),))), alphabet)
     if got.letters != direct.letters:
         _fail(
             EXIT_CONTRACT,
@@ -333,16 +327,11 @@ def word(alphabet, spec_path, input_text, emit_term, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def qbf(formula, emit_dir, as_json):
     """Decide FORMULA by normalizing its term; cross-check the oracle."""
-    try:
+    with _user_text(as_json, ValueError):
         f = parse_qbf(formula)
         oracle = eval_qbf(f)
-    except (ParseError, ValueError) as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
     term = qbf_to_term(f)
-    try:
-        holds = beta_eta_equal({}, term, CHURCH_TRUE)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc), as_json)
+    holds = beta_eta_equal({}, term, CHURCH_TRUE)
     value = "true" if holds else "false"
     if holds != oracle:
         _fail(
@@ -374,18 +363,12 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
     """Enumerate traversals of TERMFILE's computation tree."""
     env = _load_env(env_text, as_json)
     term = _load_term(termfile, as_json)
-    try:
-        tree = build_computation_tree(env, term)
-    except TypeCheckError as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
+    tree = build_computation_tree(env, term)
     try:
         traversals = enumerate_traversals(tree, max_len=max_length)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc), as_json)
-    try:
-        nf = normal_form_of_traversals(tree, traversals)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc), as_json)
+    nf = normal_form_of_traversals(tree, traversals)
 
     lines = [f"computation tree: {len(tree.nodes)} nodes"]
     payload = {

@@ -37,6 +37,7 @@ from .syntax import (
     Var,
     alpha_eq,
     arrow,
+    fresh_names,
     parse,
     pretty,
 )
@@ -221,14 +222,10 @@ _CLOSED_ARGS = {
 
 def random_safe_term(rng: random.Random, max_depth: int = 2) -> Term:
     """One closed Safe term over a fixed menu of inhabited types."""
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"v{counter[0]}"
+    fresh = fresh_names("v", set())
 
     def gen_abs(at: SimpleType, ctx: dict, depth: int) -> Term:
-        binders = tuple((fresh(), a) for a in at.arguments)
+        binders = tuple((next(fresh), a) for a in at.arguments)
         inner = dict(ctx)
         inner.update(binders)
         return Abs(binders, gen_ground(inner, depth))

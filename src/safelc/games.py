@@ -27,6 +27,7 @@ from .syntax import (
     Term,
     TypeEnv,
     Var,
+    fresh_names,
     mk_abs,
     mk_app,
 )
@@ -319,12 +320,15 @@ def reconstruct_p_pointers(
     choice always lands on the binder, so uncovering loses nothing; where
     it lands elsewhere, the pointer was genuinely informative.
 
-    Every O pointer must name the position just before it, as in every
-    uncovered traversal, or ReconstructionError is raised.  The P-view is
-    then the whole prefix, so tables of the latest occurrence per node
-    and of the latest core lambda per order answer both lookups.
+    A play must start at the root and every O pointer must name the
+    position just before it, as in every uncovered traversal, or
+    ReconstructionError is raised.  The P-view is then the whole prefix,
+    so tables of the latest occurrence per node and of the latest core
+    lambda per order answer both lookups.
     """
     root = tree.root
+    if play.entries and play.entries[0].node is not root:
+        raise ReconstructionError(0, "the play does not start at the root")
     occs: list[Occurrence] = []
     core: list[bool] = []
     latest = [-1] * len(tree.nodes)  # node id -> its latest index
@@ -419,19 +423,10 @@ def normal_form_of_traversals(
                 cur = cur.var.children.setdefault(
                     occ.node, _TrieLam(occ.node)
                 )
-    used = set(tree.env) | set(tree.term.free_names)
-    counter = [0]
-
-    def fresh() -> str:
-        while True:
-            counter[0] += 1
-            name = f"n{counter[0]}"
-            if name not in used:
-                used.add(name)
-                return name
+    fresh = fresh_names("n", set(tree.env) | set(tree.term.free_names))
 
     def assemble(t: _TrieLam, stack: list) -> Term:
-        renamed = tuple((fresh(), bty) for _, bty in t.node.binders)
+        renamed = tuple((next(fresh), bty) for _, bty in t.node.binders)
         stack.append(renamed)
         v = t.var
         if v is None:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import ParseError, _position
+from .syntax import ParseError, _position, _scan
 
 
 class Quantifier(enum.Enum):
@@ -128,39 +128,27 @@ def qbf_text(q: QBF) -> str:
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[.&|!()]")
+# a token, or any other non-space character, which is an error
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|[.&|!()])|\S")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise self._error_at(pos, f"unexpected character {text[pos]!r}")
-            self.tokens.append((m.group(0), pos))
-            pos = m.end()
+        self.tokens, self.offsets = _scan(text, _TOKEN)
         self.i = 0
 
-    def _error_at(self, pos: int, message: str) -> ParseError:
+    def error(self, message: str) -> ParseError:
+        pos = self.offsets[self.i] if self.i < len(self.tokens) else len(self.text)
         return ParseError(message, *_position(self.text, pos))
 
-    def error(self, message: str) -> ParseError:
-        pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-        return self._error_at(pos, message)
-
     def peek(self) -> str:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else ""
+        return self.tokens[self.i] if self.i < len(self.tokens) else ""
 
     def take(self) -> str:
         if self.i >= len(self.tokens):
             raise self.error("unexpected end of input")
-        tok = self.tokens[self.i][0]
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 

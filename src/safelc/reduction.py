@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, Optional
 
 from .safety import TypeCheckError, simple_type_of
 from .syntax import (
@@ -102,11 +102,6 @@ def _coerce_strategy(strategy: "Strategy | str") -> Strategy:
 # substitution
 
 
-class SubstResult(NamedTuple):
-    term: Term
-    captured: bool
-
-
 _NO_CAPTURE: frozenset[str] = frozenset()
 
 
@@ -153,10 +148,8 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
         renamed = []
         for y, ty in binders:
             if y in clashing:
-                fresh = primed(y, used)
-                used.add(fresh)
-                active[y] = Var(fresh)
-                y = fresh
+                active[y] = Var(primed(y, used))
+                y = active[y].name
             renamed.append((y, ty))
         binders = tuple(renamed)
         clashing = _NO_CAPTURE
@@ -166,16 +159,16 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
     return mk_abs(binders, body), clashing | captured
 
 
-def subst_no_rename(term: Term, s: Substitution) -> SubstResult:
+def subst_no_rename(term: Term, s: Substitution) -> tuple[Term, bool]:
     """Textual simultaneous substitution, no renaming ever.
 
-    The `captured` flag is true when some substituted occurrence landed
-    under a binder that also names a free variable of the image.  Inside
-    the safety discipline the flag provably stays false; on arbitrary
-    terms the caller must check it.
+    Returns the term and a `captured` flag, true when some substituted
+    occurrence landed under a binder that also names a free variable of
+    the image.  Inside the safety discipline the flag provably stays
+    false; on arbitrary terms the caller must check it.
     """
     out, names = _subst(term, s, rename=False)
-    return SubstResult(out, bool(names))
+    return out, bool(names)
 
 
 def subst_capture_avoiding(term: Term, s: Substitution) -> Term:

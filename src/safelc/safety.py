@@ -38,6 +38,7 @@ from .syntax import (
     Var,
     all_names,
     canonicalize,
+    fresh_names,
     mk_app,
     type_text,
 )
@@ -285,16 +286,7 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     ctx0 = dict(env)
     ty = _type_of(ctx0, term)  # surface type errors before rewriting
 
-    used = set(all_names(term)) | set(env)
-    counter = [0]
-
-    def fresh() -> str:
-        while True:
-            counter[0] += 1
-            name = f"_e{counter[0]}"
-            if name not in used:
-                used.add(name)
-                return name
+    fresh = fresh_names("_e", set(all_names(term)) | set(env))
 
     def expand(t: Term, ty: SimpleType, ctx: dict[str, SimpleType]) -> Term:
         if not ty.arguments:
@@ -305,7 +297,7 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
         else:
             binders = ()
             body = t
-        extra = tuple((fresh(), a) for a in ty.arguments[len(binders):])
+        extra = tuple((next(fresh), a) for a in ty.arguments[len(binders):])
         inner = dict(ctx)
         inner.update(binders)
         inner.update(extra)

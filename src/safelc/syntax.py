@@ -208,12 +208,24 @@ def is_canonical(term: Term) -> bool:
     return True
 
 
-def primed(base: str, used) -> str:
-    """Smallest fresh name of the shape base'1, base'2, ... not in `used`."""
-    k = 1
-    while f"{base}'{k}" in used:
+def fresh_names(prefix: str, used: set[str]) -> Iterator[str]:
+    """prefix1, prefix2, ... in order, skipping names in `used`.
+
+    The one fresh-name supply: each name handed out is added to `used`,
+    so later suppliers over the same set avoid it too.
+    """
+    k = 0
+    while True:
         k += 1
-    return f"{base}'{k}"
+        name = f"{prefix}{k}"
+        if name not in used:
+            used.add(name)
+            yield name
+
+
+def primed(base: str, used: set[str]) -> str:
+    """Smallest name base'1, base'2, ... not in `used`, added to `used`."""
+    return next(fresh_names(base + "'", used))
 
 
 def rename_reserved(names, reserved) -> dict[str, str]:
@@ -225,12 +237,7 @@ def rename_reserved(names, reserved) -> dict[str, str]:
     used = set(reserved) | set(names)
     out = {}
     for name in names:
-        if name in reserved:
-            fresh = primed(name, used)
-            used.add(fresh)
-            out[name] = fresh
-        else:
-            out[name] = name
+        out[name] = primed(name, used) if name in reserved else name
     return out
 
 
@@ -268,9 +275,7 @@ def canonicalize(term: Term) -> Term:
         for i in range(len(binders) - 1, -1, -1):
             name, ty = binders[i]
             if name in seen:
-                fresh = primed(name, taken)
-                taken.add(fresh)
-                binders[i] = (fresh, ty)
+                binders[i] = (primed(name, taken), ty)
             else:
                 seen.add(name)
         out = Abs(tuple(binders), body)
@@ -368,18 +373,30 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
+def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
+    """Tokens of `text` and their offsets, in one `finditer` scan.
+
+    Group 1 of `token_re` is a token; a match outside it (the pattern's
+    catch-all last alternative) is a character no token starts with, and
+    raises ParseError.
+    """
+    tokens: list[str] = []
+    offsets: list[int] = []
+    for m in token_re.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            at = _position(text, m.start())
+            raise ParseError(f"unexpected character {m.group()!r}", *at)
+        tokens.append(tok)
+        offsets.append(m.start())
+    return tokens, offsets
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         # token texts and offsets; the None sentinel sits at end of input
-        self.tokens: list[Optional[str]] = []
-        self.offsets: list[int] = []
-        for m in _TOKEN_RE.finditer(text):
-            tok = m.group(1)
-            if tok is None:
-                self.fail_at(m.start(), f"unexpected character {m.group()!r}")
-            self.tokens.append(tok)
-            self.offsets.append(m.start())
+        self.tokens, self.offsets = _scan(text, _TOKEN_RE)
         self.offsets.append(self.offsets[-1] + len(self.tokens[-1]) if self.tokens else 0)
         self.tokens.append(None)
         self.i = 0

@@ -9,7 +9,10 @@ from click.testing import CliRunner
 
 import safelc
 from safelc.cli import main
-from safelc.syntax import alpha_eq, parse
+from safelc.encodings import DecodeError
+from safelc.reduction import BudgetExceededError, CaptureViolation
+from safelc.safety import TypeCheckError
+from safelc.syntax import ParseError, alpha_eq, parse
 
 
 @pytest.fixture
@@ -207,6 +210,52 @@ def test_unexpected_exception_exits_four(runner, lamfile, monkeypatch):
     assert r.exit_code == 4
     assert "broken checker" in r.output
     assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        pytest.param(TypeCheckError("ill-typed"), 2, "ill-typed (at <root>)", id="type"),
+        pytest.param(ParseError("bad token", 1, 2), 2, "1:2: bad token", id="parse"),
+        pytest.param(BudgetExceededError(9, 9, "no room"), 3, "no room", id="budget"),
+        pytest.param(
+            RecursionError("maximum recursion depth exceeded"),
+            3,
+            "a term computed from the input is nested too deeply",
+            id="recursion",
+        ),
+        pytest.param(
+            CaptureViolation(frozenset({"y"}), "y captured"),
+            4,
+            "capture flag raised: y captured",
+            id="capture",
+        ),
+        pytest.param(
+            DecodeError("not a numeral: a lambda"),
+            4,
+            "normal form is not a numeral: a lambda",
+            id="decode",
+        ),
+        pytest.param(RuntimeError("boom"), 4, "unexpected RuntimeError: boom", id="other"),
+    ],
+)
+def test_library_failures_follow_the_exit_table(
+    runner, monkeypatch, exc, code, message, flags
+):
+    # x=30,y=30 computes a 900-deep numeral: an overflow there is in a
+    # result, not in the five characters of input
+    def failing(term, *args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("safelc.cli._normalize", failing)
+    r = invoke(runner, ["poly", "x*y", "--at", "x=30,y=30"] + flags)
+    assert r.exit_code == code
+    assert "Traceback" not in r.output
+    if flags:
+        assert json.loads(r.output) == {"error": message}
+    else:
+        assert r.output == f"error: {message}\n"
 
 
 # -- poly --------------------------------------------------------------

@@ -317,6 +317,13 @@ def test_reconstruction_error_on_malformed_play():
     stray = UncoveredPlay((PlayEntry(x_node, None, "P", "lam"),))
     with pytest.raises(ReconstructionError):
         reconstruct_p_pointers(stray, t)
+    # an @ entry at position 0 would answer position -1
+    t = tree_of(r"(\x:o. x) y", Y)
+    app = next(n for n in t.nodes if isinstance(n, AppNode))
+    stray = UncoveredPlay((PlayEntry(app, None, parity(app), "lam"),))
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_p_pointers(stray, t)
+    assert err.value.position == 0
 
 
 def test_round_trip_keeps_rules_and_flags():

@@ -54,34 +54,34 @@ def test_oracle_substitutes_into_application():
 
 
 def test_no_rename_reports_capture():
-    out = subst_no_rename(parse(r"\y:o. x"), {"x": Var("y")})
-    assert out.term == parse(r"\y:o. y")
-    assert out.captured
+    out, captured = subst_no_rename(parse(r"\y:o. x"), {"x": Var("y")})
+    assert out == parse(r"\y:o. y")
+    assert captured
 
 
 def test_no_rename_identity():
     t = parse("f x")
-    out = subst_no_rename(t, {})
-    assert out.term is t and not out.captured
+    out, captured = subst_no_rename(t, {})
+    assert out is t and not captured
 
 
 def test_no_rename_shares_when_var_not_free():
     t = parse(r"\y:o. g y")
-    out = subst_no_rename(t, {"x": Var("z")})
-    assert out.term is t and not out.captured
+    out, captured = subst_no_rename(t, {"x": Var("z")})
+    assert out is t and not captured
 
 
 def test_substitution_is_simultaneous():
     swap = {"x": Var("y"), "y": Var("x")}
     t = parse("f x y")
     assert subst_capture_avoiding(t, swap) == parse("f y x")
-    assert subst_no_rename(t, swap).term == parse("f y x")
+    assert subst_no_rename(t, swap)[0] == parse("f y x")
 
 
 def test_no_capture_under_unrelated_binder():
-    out = subst_no_rename(parse(r"\y:o. f x"), {"x": Var("z")})
-    assert out.term == parse(r"\y:o. f z")
-    assert not out.captured
+    out, captured = subst_no_rename(parse(r"\y:o. f x"), {"x": Var("z")})
+    assert out == parse(r"\y:o. f z")
+    assert not captured
 
 
 def test_substitution_keeps_terms_canonical():
@@ -89,7 +89,7 @@ def test_substitution_keeps_terms_canonical():
     out = subst_capture_avoiding(parse(r"\w:o. x"), {"x": parse(r"\u:o. u")})
     assert out == parse(r"\w:o u:o. u")
     # an application image landing in head position flattens
-    out2 = subst_no_rename(parse("x a"), {"x": parse("f b")}).term
+    out2, _ = subst_no_rename(parse("x a"), {"x": parse("f b")})
     assert out2 == parse("f b a")
 
 
@@ -324,9 +324,9 @@ SMALL = ReductionBudget(max_steps=40, max_term_size=2000)
 
 @hyp.given(terms, terms)
 def test_no_rename_agrees_with_oracle_without_capture(t, u):
-    out = subst_no_rename(t, {"x": u})
-    if not out.captured:
-        assert out.term == subst_capture_avoiding(t, {"x": u})
+    out, captured = subst_no_rename(t, {"x": u})
+    if not captured:
+        assert out == subst_capture_avoiding(t, {"x": u})
 
 
 @hyp.given(terms, terms)
@@ -341,7 +341,7 @@ def test_oracle_never_captures(t, u):
 @hyp.given(terms)
 def test_subst_shares_object_when_domain_not_free(t):
     hyp.assume("qq" not in t.free_names)
-    assert subst_no_rename(t, {"qq": Var("x")}).term is t
+    assert subst_no_rename(t, {"qq": Var("x")})[0] is t
     assert subst_capture_avoiding(t, {"qq": Var("x")}) is t
 
 

@@ -14,6 +14,7 @@ from safelc.syntax import (
     arrow,
     canonicalize,
     free_vars,
+    fresh_names,
     is_canonical,
     parse,
     parse_env,
@@ -101,7 +102,16 @@ def test_canonicalize_renames_shadowed_duplicate():
 
 def test_freshness_scheme():
     assert primed("y", set()) == "y'1"
-    assert primed("y", {"y'1", "y'2"}) == "y'3"
+    used = {"y'1", "y'2"}
+    assert primed("y", used) == "y'3"
+    assert used == {"y'1", "y'2", "y'3"}
+    # one supply: names in order, used ones skipped, each one recorded
+    used = {"n2", "x"}
+    names = fresh_names("n", used)
+    assert [next(names), next(names)] == ["n1", "n3"]
+    used.add("n4")  # taken by someone else after the supply started
+    assert next(names) == "n5"
+    assert used == {"n1", "n2", "n3", "n4", "n5", "x"}
 
 
 def test_free_vars():
