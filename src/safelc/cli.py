@@ -114,12 +114,17 @@ _EXIT_TABLE = (
 
 
 class _GuardedGroup(click.Group):
-    """Maps failures no command handles to exit codes instead of tracebacks."""
+    """Maps failures no command handles to exit codes instead of tracebacks,
+    and under --json prints an option error as one JSON object too."""
 
     def invoke(self, ctx):
         as_json = "--json" in ctx.args
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            if as_json:
+                _fail(EXIT_USAGE, exc.format_message(), True)
+            raise
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
@@ -169,8 +174,8 @@ def check(termfile, env_text, trace, as_json):
     default="plain",
     show_default=True,
 )
-@click.option("--max-steps", default=100_000, show_default=True)
-@click.option("--max-size", default=1_000_000, show_default=True)
+@click.option("--max-steps", default=100_000, show_default=True, type=click.IntRange(1))
+@click.option("--max-size", default=1_000_000, show_default=True, type=click.IntRange(1))
 @click.option("--trace", is_flag=True, help="print every reduction step")
 @click.option("--json", "as_json", is_flag=True)
 def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
@@ -199,8 +204,8 @@ def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
 @click.argument("left", type=click.Path(exists=True, dir_okay=False))
 @click.argument("right", type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_text", default="", help=_ENV_HELP)
-@click.option("--max-steps", default=100_000, show_default=True)
-@click.option("--max-size", default=1_000_000, show_default=True)
+@click.option("--max-steps", default=100_000, show_default=True, type=click.IntRange(1))
+@click.option("--max-size", default=1_000_000, show_default=True, type=click.IntRange(1))
 @click.option("--json", "as_json", is_flag=True)
 def eq(left, right, env_text, max_steps, max_size, as_json):
     """Beta-eta equality of the terms in LEFT and RIGHT."""
@@ -356,7 +361,7 @@ def qbf(formula, emit_dir, as_json):
 @main.command()
 @click.argument("termfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_text", default="", help=_ENV_HELP)
-@click.option("--max-length", default=200, show_default=True)
+@click.option("--max-length", default=200, show_default=True, type=click.IntRange(1))
 @click.option("--show-views", is_flag=True, help="print final views")
 @click.option("--json", "as_json", is_flag=True)
 def traverse(termfile, env_text, max_length, show_views, as_json):
@@ -364,10 +369,7 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
     env = _load_env(env_text, as_json)
     term = _load_term(termfile, as_json)
     tree = build_computation_tree(env, term)
-    try:
-        traversals = enumerate_traversals(tree, max_len=max_length)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc), as_json)
+    traversals = enumerate_traversals(tree, max_len=max_length)
     nf = normal_form_of_traversals(tree, traversals)
 
     lines = [f"computation tree: {len(tree.nodes)} nodes"]

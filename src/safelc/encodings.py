@@ -61,6 +61,50 @@ _RESERVED = frozenset({"m", "n", "s", "z", "w", "u"})
 
 
 # --------------------------------------------------------------------------
+# Church spines
+#
+# A numeral is a word over a one-letter alphabet: both are k letter
+# binders of type o->o and a base z:o around a spine a_i1 (a_i2 (.. z)),
+# leftmost letter outermost.  These two helpers build and read every spine.
+
+
+def _spine(text: str, letter_term, end: Term) -> Term:
+    out = end
+    for ch in reversed(text):
+        out = App(letter_term(ch), (out,))
+    return out
+
+
+def _read_spine(term: Term, k: int, what: str) -> list[int]:
+    """Letter indices, outermost first, of a closed normal term with k
+    letters; anything else raises DecodeError naming `what` it is not."""
+    try:
+        t = eta_long({}, term)
+    except TypeCheckError as e:
+        raise DecodeError(f"not a {what}: {e}") from e
+    if not isinstance(t, Abs) or len(t.binders) != k + 1:
+        raise DecodeError(f"not a {what}: expected {k + 1} binders")
+    unary = arrow(GROUND, GROUND)
+    for name, ty in t.binders[:k]:
+        if ty != unary:
+            raise DecodeError(f"not a {what}: letter binder {name} has type {ty}")
+    z, z_ty = t.binders[k]
+    if z_ty != GROUND:
+        raise DecodeError(f"not a {what}: final binder has type {z_ty}")
+    index = {name: i for i, (name, _) in enumerate(t.binders[:k])}
+    out = []
+    cur = t.body
+    while isinstance(cur, App) and len(cur.args) == 1:
+        if not isinstance(cur.head, Var) or cur.head.name not in index:
+            raise DecodeError(f"not a {what}: spine head is not a letter")
+        out.append(index[cur.head.name])
+        cur = cur.args[0]
+    if cur != Var(z):
+        raise DecodeError(f"not a {what}: spine does not end at the base")
+    return out
+
+
+# --------------------------------------------------------------------------
 # numerals
 
 
@@ -78,31 +122,12 @@ def church_nat_at(n: int, a: SimpleType) -> Term:
     """
     if n < 0:
         raise ValueError("numerals encode nonnegative integers")
-    body: Term = Var("z")
-    for _ in range(n):
-        body = App(Var("s"), (body,))
-    return Abs((("s", arrow(a, a)), ("z", a)), body)
+    return Abs((("s", arrow(a, a)), ("z", a)), _spine("s" * n, Var, Var("z")))
 
 
 def decode_nat(term: Term) -> int:
     """Read a natural back off a closed beta-normal term of numeral type."""
-    try:
-        t = eta_long({}, term)
-    except TypeCheckError as e:
-        raise DecodeError(f"not a numeral: {e}") from e
-    if not isinstance(t, Abs) or len(t.binders) != 2:
-        raise DecodeError("not a numeral: expected a two-binder abstraction")
-    (s, s_ty), (z, z_ty) = t.binders
-    if s_ty != arrow(GROUND, GROUND) or z_ty != GROUND:
-        raise DecodeError(f"not a numeral: binder types {s_ty}, {z_ty}")
-    count = 0
-    cur = t.body
-    while isinstance(cur, App) and cur.head == Var(s) and len(cur.args) == 1:
-        count += 1
-        cur = cur.args[0]
-    if cur != Var(z):
-        raise DecodeError("not a numeral: body is not an iterated application")
-    return count
+    return len(_read_spine(term, 1, "numeral"))
 
 
 # --------------------------------------------------------------------------
@@ -318,13 +343,6 @@ def word_type(alphabet: str) -> SimpleType:
     )
 
 
-def _spine(text: str, letter_term, end: Term) -> Term:
-    out = end
-    for ch in reversed(text):
-        out = App(letter_term(ch), (out,))
-    return out
-
-
 def church_word(w: Word) -> Term:
     """One order-1 parameter per letter; leftmost letter outermost."""
     params = rename_reserved(w.alphabet, _RESERVED)
@@ -336,31 +354,8 @@ def church_word(w: Word) -> Term:
 
 def decode_word(term: Term, alphabet: str) -> Word:
     """Read a word back off a closed beta-normal term of word type."""
-    try:
-        t = eta_long({}, term)
-    except TypeCheckError as e:
-        raise DecodeError(f"not a word: {e}") from e
-    k = len(alphabet)
-    if not isinstance(t, Abs) or len(t.binders) != k + 1:
-        raise DecodeError(f"not a word over a {k}-letter alphabet")
-    unary = arrow(GROUND, GROUND)
-    for name, ty in t.binders[:k]:
-        if ty != unary:
-            raise DecodeError(f"not a word: letter binder {name} has type {ty}")
-    z, z_ty = t.binders[k]
-    if z_ty != GROUND:
-        raise DecodeError(f"not a word: final binder has type {z_ty}")
-    to_letter = {name: alphabet[i] for i, (name, _) in enumerate(t.binders[:k])}
-    out = []
-    cur = t.body
-    while isinstance(cur, App) and len(cur.args) == 1:
-        if not isinstance(cur.head, Var) or cur.head.name not in to_letter:
-            raise DecodeError("not a word: spine head is not a letter")
-        out.append(to_letter[cur.head.name])
-        cur = cur.args[0]
-    if cur != Var(z):
-        raise DecodeError("not a word: spine does not end at the base")
-    return Word(alphabet, "".join(out))
+    indices = _read_spine(term, len(alphabet), "word")
+    return Word(alphabet, "".join(alphabet[i] for i in indices))
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,6 @@ the brute-force oracle says f holds.  Every emitted term is plain Safe.
 from __future__ import annotations
 
 import itertools
-import random
-from pathlib import Path
 from typing import Iterator
 
 from .qbf import (
@@ -31,10 +29,8 @@ from .qbf import (
     Or,
     QBF,
     Quantifier,
-    qbf_text,
 )
-from .qbf_oracle import eval_qbf
-from .syntax import GROUND, Abs, App, SimpleType, Term, Var, arrow, parse, pretty, rename_reserved
+from .syntax import GROUND, Abs, App, SimpleType, Term, Var, arrow, parse, rename_reserved
 
 BOOL = arrow(GROUND, GROUND, GROUND)
 
@@ -143,59 +139,3 @@ def enumerate_qbfs(
             prefix = tuple(zip(quants, names))
             for matrix in matrices:
                 yield QBF(prefix, matrix)
-
-
-def random_qbf(
-    rng: random.Random, quantifiers: int = 3, connectives: int = 3
-) -> QBF:
-    names = _variable_names(quantifiers)
-    prefix = tuple(
-        (rng.choice((Quantifier.FORALL, Quantifier.EXISTS)), n) for n in names
-    )
-
-    def build(n: int) -> Formula:
-        if n == 0:
-            return BoolVar(rng.choice(names))
-        op = rng.choice(("not", "and", "or"))
-        if op == "not":
-            return Not(build(n - 1))
-        split = rng.randrange(n)
-        left, right = build(split), build(n - 1 - split)
-        return And(left, right) if op == "and" else Or(left, right)
-
-    return QBF(prefix, build(connectives))
-
-
-def emit_benchmark(
-    directory,
-    count: int = 50,
-    seed: int = 0,
-    quantifiers: int = 3,
-    connectives: int = 3,
-) -> Path:
-    """Write `count` labelled equality instances plus a manifest.
-
-    Each instance becomes a pair of term files; the manifest has one line
-    per instance (id, formula, oracle label, term file names) and records
-    the generator seed in its header.  Returns the manifest path.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(seed)
-    lines = [
-        f"# seed={seed} count={count} quantifiers={quantifiers} "
-        f"connectives={connectives}"
-    ]
-    for i in range(count):
-        f = random_qbf(rng, quantifiers, connectives)
-        lhs, rhs = equality_instance(f)
-        label = "true" if eval_qbf(f) else "false"
-        lhs_name, rhs_name = f"q{i:03d}_lhs.term", f"q{i:03d}_rhs.term"
-        (directory / lhs_name).write_text(pretty(lhs) + "\n")
-        (directory / rhs_name).write_text(pretty(rhs) + "\n")
-        lines.append(
-            f"q{i:03d}\t{qbf_text(f)}\t{label}\t{lhs_name}\t{rhs_name}"
-        )
-    manifest = directory / "manifest.tsv"
-    manifest.write_text("\n".join(lines) + "\n")
-    return manifest

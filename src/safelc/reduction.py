@@ -3,8 +3,8 @@ r"""Substitution and reduction.
 Two substitution disciplines live here.  `subst_capture_avoiding` is the
 classical one: it renames bound variables out of the way and serves as the
 oracle.  `subst_no_rename` replaces variables textually and never renames;
-instead it reports whether a capture happened.  On terms that stay inside
-the safety discipline the two agree and the flag stays false, which is the
+instead it reports the binders that captured.  On terms that stay inside
+the safety discipline the two agree and that set stays empty, which is the
 whole point of the restriction.
 
 The step functions differ in how much of a redex they consume:
@@ -159,16 +159,15 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
     return mk_abs(binders, body), clashing | captured
 
 
-def subst_no_rename(term: Term, s: Substitution) -> tuple[Term, bool]:
+def subst_no_rename(term: Term, s: Substitution) -> tuple[Term, frozenset[str]]:
     """Textual simultaneous substitution, no renaming ever.
 
-    Returns the term and a `captured` flag, true when some substituted
-    occurrence landed under a binder that also names a free variable of
-    the image.  Inside the safety discipline the flag provably stays
-    false; on arbitrary terms the caller must check it.
+    Returns the term and the names of the binders that captured: those
+    some substituted occurrence landed under while they also name a free
+    variable of its image.  Inside the safety discipline the set provably
+    stays empty; on arbitrary terms the caller must check it.
     """
-    out, names = _subst(term, s, rename=False)
-    return out, bool(names)
+    return _subst(term, s, rename=False)
 
 
 def subst_capture_avoiding(term: Term, s: Substitution) -> Term:
@@ -215,7 +214,7 @@ def _contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
     j = min(len(head.binders), len(args))
     used, remaining = head.binders[:j], head.binders[j:]
     mapping = {x: a for (x, _), a in zip(used, args)}
-    body, captured = _subst(head.body, mapping, rename=False)
+    body, captured = subst_no_rename(head.body, mapping)
     if remaining:
         # a partial contraction re-wraps the leftover binders around the
         # substituted body, which can bind argument variables just as an

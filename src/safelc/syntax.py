@@ -44,14 +44,6 @@ class ParseError(Exception):
         self.column = column
 
 
-class UnknownFreeVariableError(ValueError):
-    """A free variable has no declared type in the environment."""
-
-    def __init__(self, name: str):
-        super().__init__(f"free variable {name!r} has no declared type")
-        self.name = name
-
-
 # ---------------------------------------------------------------------------
 # Types
 
@@ -199,15 +191,6 @@ def subterms(term: Term) -> Iterator[Term]:
             stack.append(t.head)
 
 
-def is_canonical(term: Term) -> bool:
-    for t in subterms(term):
-        if isinstance(t, Abs) and isinstance(t.body, Abs):
-            return False
-        if isinstance(t, App) and isinstance(t.head, App):
-            return False
-    return True
-
-
 def fresh_names(prefix: str, used: set[str]) -> Iterator[str]:
     """prefix1, prefix2, ... in order, skipping names in `used`.
 
@@ -306,21 +289,6 @@ def mk_app(head: Term, args: tuple[Term, ...]) -> Term:
     if isinstance(head, App):
         return App(head.head, head.args + args)
     return App(head, args)
-
-
-def free_vars(term: Term, env: Optional[TypeEnv] = None) -> frozenset[tuple[str, SimpleType]]:
-    """Free variables with their types.
-
-    Types of free names cannot be read off the term, so they come from
-    `env`; a free name missing there raises UnknownFreeVariableError.
-    """
-    env = env or {}
-    out = set()
-    for name in term.free_names:
-        if name not in env:
-            raise UnknownFreeVariableError(name)
-        out.add((name, env[name]))
-    return frozenset(out)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -7,7 +7,7 @@ safelc.corpus and is exercised separately.
 
 import hypothesis.strategies as st
 
-from safelc.syntax import GROUND, Abs, App, SimpleType, Term, Var
+from safelc.syntax import GROUND, Abs, App, SimpleType, Term, Var, subterms
 
 names = st.sampled_from("a b c d f g h x y z".split())
 
@@ -38,3 +38,13 @@ terms = st.recursive(
     ),
     max_leaves=10,
 )
+
+
+def is_canonical(term: Term) -> bool:
+    """No Abs directly under an Abs body, and no App as an App head."""
+    for t in subterms(term):
+        if isinstance(t, Abs) and isinstance(t.body, Abs):
+            return False
+        if isinstance(t, App) and isinstance(t.head, App):
+            return False
+    return True

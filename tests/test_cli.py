@@ -517,6 +517,31 @@ def test_corpus_rejects_bad_jobs(runner):
 # -- misc --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["normalize", "{id}", "--max-steps", "0"],
+        ["normalize", "{id}", "--max-size", "0"],
+        ["eq", "{id}", "{id}", "--max-steps", "0"],
+        ["eq", "{id}", "{id}", "--max-size", "0"],
+        ["traverse", "{id}", "--max-length", "0"],
+        ["corpus", "--jobs", "0"],
+    ],
+    ids=lambda args: " ".join(args[:1] + args[-2:]),
+)
+def test_option_out_of_range_is_usage_error(runner, lamfile, args, as_json):
+    path = lamfile("id.lam", r"\x:o. x")
+    argv = [a.format(id=path) for a in args] + (["--json"] if as_json else [])
+    r = invoke(runner, argv)
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    if as_json:
+        assert list(json.loads(r.stdout)) == ["error"]
+    else:
+        assert "Invalid value for" in r.output
+
+
 def test_version_flag(runner):
     r = invoke(runner, ["--version"])
     assert r.exit_code == 0

@@ -51,6 +51,7 @@ def test_church_zero():
 def test_nat_roundtrip():
     for n in range(51):
         assert decode_nat(church_nat(n)) == n
+        assert decode_word(church_nat(n), "a").letters == "a" * n
 
 
 def test_numerals_are_safe():
@@ -69,6 +70,10 @@ def test_decode_rejects_non_numerals():
         decode_nat(parse(r"\s:o->o z:o. s"))
     with pytest.raises(DecodeError):
         decode_nat(parse("x"))
+    with pytest.raises(DecodeError):
+        decode_nat(parse(r"\s:o z:o->o. z s"))
+    with pytest.raises(DecodeError):
+        decode_nat(parse(r"\s:o->o z:o. (\x:o. x) z"))
 
 
 def test_church_nat_at_ground_is_plain():

@@ -1,5 +1,3 @@
-import random
-
 from safelc.hardness import (
     AND_GADGET,
     BOOL,
@@ -7,18 +5,16 @@ from safelc.hardness import (
     CHURCH_TRUE,
     NOT_GADGET,
     OR_GADGET,
-    emit_benchmark,
     enumerate_matrices,
     enumerate_qbfs,
     equality_instance,
     qbf_to_term,
-    random_qbf,
 )
-from safelc.qbf import parse_qbf, qbf_text
+from safelc.qbf import parse_qbf
 from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import beta_eta_equal, normalize
 from safelc.safety import Level, safety_check
-from safelc.syntax import alpha_eq, arrow, parse
+from safelc.syntax import alpha_eq, arrow
 
 
 def is_safe(term):
@@ -93,58 +89,6 @@ def test_enumeration_counts():
     assert len(list(enumerate_matrices(("v1", "v2", "v3"), 3))) == 4728
     # 1 var, <=1 connective: v1, !v1, v1&v1, v1|v1; two prefix choices
     assert len(list(enumerate_qbfs(1, 1))) == 2 * 4
-
-
-def test_random_qbf_shape():
-    rng = random.Random(7)
-    f = random_qbf(rng, quantifiers=4, connectives=5)
-    assert len(f.prefix) == 4
-    assert f.size == 4 + 5 + count_atoms(f)
-    again = random_qbf(random.Random(7), quantifiers=4, connectives=5)
-    assert again == f
-    other = random_qbf(random.Random(8), quantifiers=4, connectives=5)
-    assert other != f
-
-
-def count_atoms(f):
-    # connective count is fixed at 5 above; atoms = size - prefix - 5
-    stack, atoms = [f.matrix], 0
-    while stack:
-        node = stack.pop()
-        kind = type(node).__name__
-        if kind == "BoolVar":
-            atoms += 1
-        elif kind == "Not":
-            stack.append(node.operand)
-        else:
-            stack.extend((node.left, node.right))
-    return atoms
-
-
-def test_emit_benchmark(tmp_path):
-    manifest = emit_benchmark(tmp_path, count=8, seed=3)
-    assert manifest == tmp_path / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    assert lines[0] == "# seed=3 count=8 quantifiers=3 connectives=3"
-    assert len(lines) == 9
-    for line in lines[1:]:
-        ident, formula, label, lhs_name, rhs_name = line.split("\t")
-        f = parse_qbf(formula)
-        assert label == ("true" if eval_qbf(f) else "false")
-        lhs = parse((tmp_path / lhs_name).read_text())
-        rhs = parse((tmp_path / rhs_name).read_text())
-        assert is_safe(lhs)
-        assert beta_eta_equal({}, lhs, rhs) == (label == "true")
-    ident_first = lines[1].split("\t")[0]
-    assert ident_first == "q000"
-
-
-def test_emit_benchmark_reproducible(tmp_path):
-    a = emit_benchmark(tmp_path / "a", count=5, seed=11).read_text()
-    b = emit_benchmark(tmp_path / "b", count=5, seed=11).read_text()
-    assert a == b
-    c = emit_benchmark(tmp_path / "c", count=5, seed=12).read_text()
-    assert c != b
 
 
 def test_term_size_growth_is_modest():

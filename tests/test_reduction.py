@@ -23,11 +23,10 @@ from safelc.syntax import (
     Var,
     alpha_eq,
     canonicalize,
-    is_canonical,
     parse,
     parse_env,
 )
-from termgen import terms
+from termgen import is_canonical, terms
 
 CHURCH_TWO = parse(r"\s:o->o z:o. s (s z)")
 CHURCH_THREE = parse(r"\s:o->o z:o. s (s (s z))")
@@ -57,6 +56,7 @@ def test_no_rename_reports_capture():
     out, captured = subst_no_rename(parse(r"\y:o. x"), {"x": Var("y")})
     assert out == parse(r"\y:o. y")
     assert captured
+    assert captured == {"y"}
 
 
 def test_no_rename_identity():

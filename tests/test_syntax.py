@@ -7,15 +7,12 @@ from safelc.syntax import (
     App,
     ParseError,
     SimpleType,
-    UnknownFreeVariableError,
     Var,
     all_names,
     alpha_eq,
     arrow,
     canonicalize,
-    free_vars,
     fresh_names,
-    is_canonical,
     parse,
     parse_env,
     parse_type,
@@ -23,7 +20,7 @@ from safelc.syntax import (
     primed,
     type_text,
 )
-from termgen import terms
+from termgen import is_canonical, terms
 
 O = GROUND
 OO = SimpleType((O,))
@@ -112,14 +109,6 @@ def test_freshness_scheme():
     used.add("n4")  # taken by someone else after the supply started
     assert next(names) == "n5"
     assert used == {"n1", "n2", "n3", "n4", "n5", "x"}
-
-
-def test_free_vars():
-    assert free_vars(parse(r"\x:o. x")) == frozenset()
-    assert free_vars(parse(r"\x:o. f x"), {"f": OO}) == frozenset({("f", OO)})
-    assert free_vars(parse(r"(\x:o. x) y"), {"y": O}) == frozenset({("y", O)})
-    with pytest.raises(UnknownFreeVariableError):
-        free_vars(parse(r"\x:o. f x"))
 
 
 def test_alpha_eq():
