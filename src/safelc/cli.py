@@ -43,6 +43,7 @@ from .reduction import (
     BudgetExceededError,
     CaptureViolation,
     ReductionBudget,
+    _normalize_counted,
     beta_eta_equal,
     reduction_sequence,
 )
@@ -184,19 +185,18 @@ def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
     if not term.free_names:  # open input has no --env to type it against
         simple_type_of({}, term)
     budget = ReductionBudget(max_steps, max_size)
-    steps = []
-    count = -1
-    last = term
-    for t in reduction_sequence(term, strategy, budget):
-        count += 1
-        last = t
-        if trace:
-            steps.append(pretty(t))
-    lines = [f"[{i}] {s}" for i, s in enumerate(steps)]
-    lines.append(pretty(last))
-    payload = {"normal_form": pretty(last), "steps": count}
     if trace:
-        payload["chain"] = steps
+        chain = [pretty(t) for t in reduction_sequence(term, strategy, budget)]
+        shown, count = chain[-1], len(chain) - 1
+    else:
+        chain = []
+        last, count = _normalize_counted(term, strategy, budget)
+        shown = pretty(last)
+    lines = [f"[{i}] {s}" for i, s in enumerate(chain)]
+    lines.append(shown)
+    payload = {"normal_form": shown, "steps": count}
+    if trace:
+        payload["chain"] = chain
     _emit(as_json, payload, lines)
 
 
@@ -294,9 +294,9 @@ def poly(expression, at_text, emit_term, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def word(alphabet, spec_path, input_text, emit_term, as_json):
     """Run a catalogued word function on INPUT via its term."""
+    with _user_text(as_json, (OSError, ValueError, KeyError), f"bad --spec {spec_path}: "):
+        spec = word_spec_from_json(json.loads(Path(spec_path).read_text()))
     with _user_text(as_json, (ValueError, KeyError)):
-        data = json.loads(Path(spec_path).read_text())
-        spec = word_spec_from_json(data)
         w = Word(alphabet, input_text)
         term = compile_word_function(spec, alphabet)
     direct = apply_word_function(spec, w)

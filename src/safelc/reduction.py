@@ -23,6 +23,17 @@ substitution and preserves safety; if its no-rename substitution ever
 reports a capture, something violated the discipline and we abort loudly
 rather than return a wrong term.
 
+Both strategies contract the leftmost-outermost redex, and one driver
+finds it for `beta_step`, `safe_step`, `reduction_sequence` and
+`normalize`.  It walks down a stack of contexts (a zipper) into
+abstraction bodies and into the arguments, left to right, of applications
+headed by a variable, and contracts at the first redex it meets.  It then
+goes on from the contractum rather than from the root: the nodes above it
+are still abstractions and variable-headed applications and everything
+to its left is still normal, so a search from the root would come back to
+the same place.  No normal subterm is walked twice, the term size is kept
+up to date by differences, and `normalize` builds no intermediate term.
+
 Equality does not step.  `beta_eta_equal` evaluates both terms into
 closures and reads back their eta-long normal forms from the common type
 (normalization by evaluation), so no substitution, renaming or separate
@@ -180,28 +191,7 @@ def subst_capture_avoiding(term: Term, s: Substitution) -> Term:
 
 
 # --------------------------------------------------------------------------
-# single steps
-
-# Both strategies contract the leftmost-outermost redex; they differ only
-# in how much of it one step consumes.
-
-
-def _step(term: Term, contract) -> Optional[Term]:
-    if isinstance(term, App):
-        if isinstance(term.head, Abs):
-            return contract(term.head, term.args)
-        head = _step(term.head, contract)
-        if head is not None:
-            return mk_app(head, term.args)
-        for i, a in enumerate(term.args):
-            new = _step(a, contract)
-            if new is not None:
-                return App(term.head, term.args[:i] + (new,) + term.args[i + 1 :])
-        return None
-    if isinstance(term, Abs):
-        body = _step(term.body, contract)
-        return None if body is None else mk_abs(term.binders, body)
-    return None
+# contractions
 
 
 def _contract_plain(head: Abs, args: tuple[Term, ...]) -> Term:
@@ -233,6 +223,186 @@ def _contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
     return mk_app(mk_abs(remaining, body), args[j:])
 
 
+def _contraction(strategy: "Strategy | str"):
+    if _coerce_strategy(strategy) is Strategy.PLAIN:
+        return _contract_plain
+    return _contract_safe
+
+
+# --------------------------------------------------------------------------
+# the step driver
+#
+# Input that `parse(canonical=False)` or a raw AST gives can also have an
+# application in head position, which the walk enters before the
+# arguments, and an abstraction directly in a body.  Each frame is rebuilt
+# on the way up with the constructor a root-first search uses at its
+# position: `App` in an argument, `mk_app` in a head and `mk_abs` in a
+# body.  Two of those can change the shape of the path.  A contractum that
+# is an abstraction directly in a body merges into that block at once.  A
+# contractum in a head, or one under an application in a head or under an
+# abstraction directly in a body, makes the driver rebuild the whole term
+# and walk again from its root; the rebuild leaves that spot canonical, so
+# this happens once per spot.
+
+_ARG, _HEAD, _BODY, _NESTED_BODY = range(4)
+
+
+def _context_size(stack: list) -> int:
+    """The nodes of the whole term outside the focus of `stack`."""
+    n = 0
+    for kind, node, i, args in stack:
+        if kind == _ARG:
+            args = node.args if args is None else args
+            n += 1 + node.head.size + sum(a.size for a in args[:i])
+            n += sum(a.size for a in args[i + 1 :])
+        elif kind == _HEAD:
+            n += 1 + sum(a.size for a in node.args)
+        else:
+            n += 1 + len(node.binders)
+    return n
+
+
+def _plug(stack: list, term: Term) -> Term:
+    """The whole term: `term` put back into the context `stack`."""
+    for kind, node, i, args in reversed(stack):
+        if kind == _ARG:
+            before = node.args[:i] if args is None else tuple(args[:i])
+            term = App(node.head, before + (term,) + node.args[i + 1 :])
+        elif kind == _HEAD:
+            term = mk_app(term, node.args)
+        else:
+            term = mk_abs(node.binders, term)
+    return term
+
+
+class _Reducer:
+    """Leftmost-outermost reduction of one term, one contraction per step.
+
+    With a budget, the size of the whole term is kept up to date by the
+    difference each contraction makes.  It is first computed after the
+    first contraction, from the contractum and the context around it, and
+    again after a walk restarts from the root.  Without a budget nothing
+    is metered.
+    """
+
+    __slots__ = ("contract", "budget", "stack", "focus", "nested", "steps", "size")
+
+    def __init__(self, term: Term, contract, budget: Optional[ReductionBudget]):
+        self.contract = contract
+        self.budget = budget
+        self.stack: list = []  # frames [kind, node, argument index, new arguments]
+        self.focus = term
+        self.nested = 0  # _HEAD and _NESTED_BODY frames on the stack
+        self.steps = 0
+        self.size: Optional[int] = None
+
+    def term(self) -> Term:
+        return _plug(self.stack, self.focus)
+
+    def step(self) -> bool:
+        """Contract the next redex.
+
+        False on a normal form, which the focus then holds whole.
+        """
+        stack, focus, nested = self.stack, self.focus, self.nested
+        while True:
+            kind = type(focus)
+            if kind is App:
+                head = focus.head
+                if type(head) is Abs:
+                    break
+                if type(head) is App:
+                    stack.append([_HEAD, focus, 0, None])
+                    nested += 1
+                    focus = head
+                else:
+                    stack.append([_ARG, focus, 0, None])
+                    focus = focus.args[0]
+                continue
+            if kind is Abs:
+                if stack and stack[-1][0] in (_BODY, _NESTED_BODY):
+                    stack.append([_NESTED_BODY, focus, 0, None])
+                    nested += 1
+                else:
+                    stack.append([_BODY, focus, 0, None])
+                focus = focus.body
+                continue
+            # the focus is normal: climb to the next argument left to walk
+            while stack:
+                frame = stack[-1]
+                kind, node, i, args = frame
+                if kind == _ARG:
+                    if args is not None:
+                        args[i] = focus
+                    elif focus is not node.args[i]:
+                        args = frame[3] = list(node.args)
+                        args[i] = focus
+                    i += 1
+                    if i < len(node.args):
+                        frame[2] = i
+                        focus = node.args[i]
+                        break
+                    stack.pop()
+                    focus = node if args is None else App(node.head, tuple(args))
+                elif kind == _HEAD:
+                    # the head is unchanged: a contraction in it restarts
+                    frame[0] = _ARG
+                    nested -= 1
+                    focus = node.args[0]
+                    break
+                else:
+                    stack.pop()
+                    if kind == _NESTED_BODY:
+                        nested -= 1
+                    if focus is not node.body:
+                        focus = mk_abs(node.binders, focus)
+                    else:
+                        focus = node
+            else:
+                self.focus = focus
+                return False
+
+        new = self.contract(focus.head, focus.args)
+        budget = self.budget
+        size = self.size
+        if budget is not None and self.steps >= budget.max_steps:
+            # max_steps >= 1, so an earlier contraction has set the size
+            raise BudgetExceededError(
+                self.steps,
+                size,
+                f"no normal form within {budget.max_steps} steps "
+                f"(current term size {size})",
+            )
+        self.steps += 1
+        if nested:
+            # the rebuild reshapes the path: walk again from the new root
+            new = _plug(stack, new)
+            stack.clear()
+            nested = 0
+            size = None
+        elif stack and stack[-1][0] == _BODY and type(new) is Abs:
+            # an abstraction in a body joins the enclosing block
+            binders = stack.pop()[1].binders
+            merged = mk_abs(binders, new)
+            if size is not None:
+                size += merged.size - (1 + len(binders) + focus.size)
+            new = merged
+        elif size is not None:
+            size += new.size - focus.size
+        if budget is not None:
+            if size is None:
+                size = _context_size(stack) + new.size
+            if size > budget.max_term_size:
+                raise BudgetExceededError(
+                    self.steps,
+                    size,
+                    f"term size {size} exceeds budget {budget.max_term_size} "
+                    f"after {self.steps} steps",
+                )
+        self.focus, self.nested, self.size = new, nested, size
+        return True
+
+
 def beta_step(term: Term) -> Optional[Term]:
     """One leftmost-outermost beta step: one binder, one argument.
 
@@ -240,7 +410,8 @@ def beta_step(term: Term) -> Optional[Term]:
     Uses capture-avoiding substitution, so it is sound on any term.
     Returns None on a beta-normal form.
     """
-    return _step(term, _contract_plain)
+    reducer = _Reducer(term, _contract_plain, None)
+    return reducer.term() if reducer.step() else None
 
 
 def safe_step(term: Term) -> Optional[Term]:
@@ -253,7 +424,8 @@ def safe_step(term: Term) -> Optional[Term]:
     form; raises CaptureViolation if the no-rename discipline fails, which
     cannot happen on safe input.
     """
-    return _step(term, _contract_safe)
+    reducer = _Reducer(term, _contract_safe, None)
+    return reducer.term() if reducer.step() else None
 
 
 # --------------------------------------------------------------------------
@@ -266,31 +438,22 @@ def reduction_sequence(
     budget: ReductionBudget = DEFAULT_BUDGET,
 ) -> Iterator[Term]:
     """Yield the reduction chain starting at `term` (the term included)."""
-    step = beta_step if _coerce_strategy(strategy) is Strategy.PLAIN else safe_step
-    current = term
-    yield current
-    steps = 0
-    while True:
-        nxt = step(current)
-        if nxt is None:
-            return
-        if steps >= budget.max_steps:
-            raise BudgetExceededError(
-                steps,
-                current.size,
-                f"no normal form within {budget.max_steps} steps "
-                f"(current term size {current.size})",
-            )
-        steps += 1
-        if nxt.size > budget.max_term_size:
-            raise BudgetExceededError(
-                steps,
-                nxt.size,
-                f"term size {nxt.size} exceeds budget {budget.max_term_size} "
-                f"after {steps} steps",
-            )
-        yield nxt
-        current = nxt
+    reducer = _Reducer(term, _contraction(strategy), budget)
+    yield term
+    while reducer.step():
+        yield reducer.term()
+
+
+def _normalize_counted(
+    term: Term,
+    strategy: "Strategy | str" = Strategy.PLAIN,
+    budget: ReductionBudget = DEFAULT_BUDGET,
+) -> tuple[Term, int]:
+    """The normal form and the number of steps taken to reach it."""
+    reducer = _Reducer(term, _contraction(strategy), budget)
+    while reducer.step():
+        pass
+    return reducer.focus, reducer.steps
 
 
 def normalize(
@@ -303,11 +466,9 @@ def normalize(
     Both strategies reach the same normal form up to alpha equivalence;
     the safe strategy additionally expects a term inside the safety
     discipline and raises CaptureViolation when that trust is betrayed.
+    No intermediate term is built.
     """
-    last = term
-    for last in reduction_sequence(term, strategy, budget):
-        pass
-    return last
+    return _normalize_counted(term, strategy, budget)[0]
 
 
 # --------------------------------------------------------------------------

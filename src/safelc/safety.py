@@ -8,10 +8,10 @@ exactly a walk over the Abs and App nodes of the AST as written, which is
 why grouping matters:
 
 >>> from safelc.syntax import parse
->>> safety_check({}, parse(r"\x:o f:o->o. f x")).level
-Level.SAFE
->>> safety_check({}, parse(r"\x:o. (\f:o->o. f x)", canonical=False)).level
-Level.UNSAFE_TYPABLE
+>>> safety_check({}, parse(r"\x:o f:o->o. f x")).level.name
+'SAFE'
+>>> safety_check({}, parse(r"\x:o. (\f:o->o. f x)", canonical=False)).level.name
+'UNSAFE_TYPABLE'
 
 The inner block of the second term has the order-2 type (o->o)->o but x,
 free in it, has order 0.

@@ -21,7 +21,7 @@ default and offers ``canonical=False`` for when the written grouping must
 survive.
 
 >>> parse(r"\f:o->o. \x:o. f x")
-Abs(binders=((f, o->o), (x, o)), body=App(head=Var(name=f), args=(Var(name=x),)))
+Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name='x'),)))
 >>> pretty(parse(r"(\x:o. x) ((\y:o. y) z)"))
 '(\\x:o. x) ((\\y:o. y) z)'
 """

@@ -361,6 +361,31 @@ def test_word_malformed_spec(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("not json", "Expecting value"),
+        ('{"kind": "reverse"}', "unknown word-function constructor 'reverse'"),
+    ],
+    ids=["not-json", "unknown-kind"],
+)
+def test_word_spec_errors_name_the_spec(runner, tmp_path, text, reason, as_json):
+    spec = tmp_path / "id.lam"
+    spec.write_text(text)
+    argv = ["word", "--alphabet", "a", "--spec", str(spec), "--input", "aa"]
+    r = invoke(runner, argv + (["--json"] if as_json else []))
+    assert r.exit_code == 2
+    prefix = f"bad --spec {spec}: "
+    if as_json:
+        [line] = r.stdout.splitlines()
+        message = json.loads(line)["error"]
+    else:
+        message = r.output.removeprefix("error: ").rstrip("\n")
+    assert message.startswith(prefix)
+    assert reason in message
+
+
 # -- qbf ---------------------------------------------------------------
 
 

@@ -1,14 +1,21 @@
 import itertools
+import sys
+from typing import Optional
 
 import hypothesis as hyp
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
+from safelc.encodings import church_nat, compile_polynomial, decode_nat, parse_polynomial
 from safelc.reduction import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CaptureViolation,
     ReductionBudget,
     Strategy,
+    _contract_plain,
+    _contract_safe,
+    _normalize_counted,
     beta_eta_equal,
     beta_step,
     normalize,
@@ -19,10 +26,14 @@ from safelc.reduction import (
 )
 from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
 from safelc.syntax import (
+    Abs,
     App,
+    Term,
     Var,
     alpha_eq,
     canonicalize,
+    mk_abs,
+    mk_app,
     parse,
     parse_env,
 )
@@ -379,3 +390,178 @@ def test_strategies_agree_within_budget(t):
         return
     assert alpha_eq(a, b)
     assert is_canonical(a) and is_canonical(b)
+
+
+# --------------------------------------------------------------------------
+# the step driver against the root-first reference
+#
+# `_reference_step` and `_reference_sequence` are the engine the driver
+# replaced, kept verbatim: each step searches from the root and rebuilds
+# the root-to-redex path.  The driver must give `==` results, errors
+# included, on any input, canonical or not.
+
+
+def _reference_step(term: Term, contract) -> Optional[Term]:
+    if isinstance(term, App):
+        if isinstance(term.head, Abs):
+            return contract(term.head, term.args)
+        head = _reference_step(term.head, contract)
+        if head is not None:
+            return mk_app(head, term.args)
+        for i, a in enumerate(term.args):
+            new = _reference_step(a, contract)
+            if new is not None:
+                return App(term.head, term.args[:i] + (new,) + term.args[i + 1 :])
+        return None
+    if isinstance(term, Abs):
+        body = _reference_step(term.body, contract)
+        return None if body is None else mk_abs(term.binders, body)
+    return None
+
+
+_CONTRACT = {Strategy.PLAIN: _contract_plain, Strategy.SAFE: _contract_safe}
+
+
+def _reference_sequence(term, strategy, budget=DEFAULT_BUDGET):
+    contract = _CONTRACT[strategy]
+    current = term
+    yield current
+    steps = 0
+    while True:
+        nxt = _reference_step(current, contract)
+        if nxt is None:
+            return
+        if steps >= budget.max_steps:
+            raise BudgetExceededError(
+                steps,
+                current.size,
+                f"no normal form within {budget.max_steps} steps "
+                f"(current term size {current.size})",
+            )
+        steps += 1
+        if nxt.size > budget.max_term_size:
+            raise BudgetExceededError(
+                steps,
+                nxt.size,
+                f"term size {nxt.size} exceeds budget {budget.max_term_size} "
+                f"after {steps} steps",
+            )
+        yield nxt
+        current = nxt
+
+
+def _failure(exc):
+    if isinstance(exc, BudgetExceededError):
+        return ("budget", exc.steps, exc.size, str(exc))
+    return ("capture", exc.names, str(exc))
+
+
+def _outcome(run):
+    try:
+        return ("ok", run())
+    except (BudgetExceededError, CaptureViolation) as exc:
+        return _failure(exc)
+
+
+def _chain(sequence):
+    """Every term of a reduction sequence, then its failure if it has one."""
+    out = []
+    try:
+        for t in sequence:
+            out.append(t)
+    except (BudgetExceededError, CaptureViolation) as exc:
+        out.append(_failure(exc))
+    return out
+
+
+def _assert_driver_matches_reference(term, budget=DEFAULT_BUDGET):
+    for contract, step in ((_contract_plain, beta_step), (_contract_safe, safe_step)):
+        want = _outcome(lambda: _reference_step(term, contract))
+        assert _outcome(lambda: step(term)) == want
+    for strategy in Strategy:
+        chain = _chain(_reference_sequence(term, strategy, budget))
+        assert _chain(reduction_sequence(term, strategy, budget)) == chain
+        counted = _outcome(lambda: _normalize_counted(term, strategy, budget))
+        if isinstance(chain[-1], tuple):
+            assert counted == chain[-1]
+        else:
+            assert counted == ("ok", (chain[-1], len(chain) - 1))
+            assert normalize(term, strategy, budget) == chain[-1]
+
+
+@hyp.settings(max_examples=300)
+@hyp.given(terms)
+def test_driver_matches_reference_on_raw_terms(t):
+    # non-canonical and ill-typed input included, so the budget is small
+    _assert_driver_matches_reference(t, ReductionBudget(max_steps=30, max_term_size=400))
+
+
+def test_driver_matches_reference_on_hand_corpus():
+    for e in HAND_CORPUS:
+        _assert_driver_matches_reference(e.term)
+        _assert_driver_matches_reference(e.term, ReductionBudget(max_steps=2, max_term_size=30))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_driver_matches_reference_on_generated_corpus(seed):
+    for t in generate_safe_corpus(300, seed):
+        _assert_driver_matches_reference(t)
+
+
+def test_driver_matches_reference_at_every_budget_cut():
+    for text, point in (("x*y", (3, 2)), ("x^2 + 2*y", (2, 3)), ("x*y*z + 1", (1, 2, 2))):
+        applied = mk_app(
+            compile_polynomial(parse_polynomial(text)),
+            tuple(church_nat(n) for n in point),
+        )
+        for strategy in Strategy:
+            steps = len(list(reduction_sequence(applied, strategy))) - 1
+            assert steps >= 5
+            cuts = [ReductionBudget(max_steps=k) for k in range(1, steps + 1)]
+            cuts += [ReductionBudget(max_term_size=m) for m in (5, 30, 60, 120)]
+            for budget in cuts:
+                last = _chain(_reference_sequence(applied, strategy, budget))[-1]
+                want = last if isinstance(last, tuple) else ("ok", last)
+                assert _outcome(lambda: normalize(applied, strategy, budget)) == want
+
+
+def test_driver_keeps_normal_input_and_untouched_subterms():
+    normal = parse(r"\f:o->o->o x:o. f (f x x) x")
+    for strategy in Strategy:
+        assert normalize(normal, strategy) is normal
+        assert _normalize_counted(normal, strategy) == (normal, 0)
+    # only the second argument has a redex: the first comes back as it was
+    left = parse(r"\y:o. g y")
+    t = App(Var("f"), (left, parse(r"(\x:o. x) a")))
+    out = normalize(t)
+    assert out == App(Var("f"), (left, Var("a")))
+    assert out.args[0] is left
+
+
+def test_driver_merges_an_abstraction_contractum_into_its_block():
+    t = parse(r"\a:o. (\x:o y:o. x) a")
+    assert beta_step(t) == parse(r"\a:o y:o. a")
+    assert normalize(t, Strategy.SAFE) == parse(r"\a:o y:o. a")
+
+
+def test_driver_restarts_under_non_canonical_nesting():
+    # an application in head position and a block directly in a body: a
+    # contraction under either reshapes the path as the reference does
+    t = parse(r"((f ((\x:o. x) a)) b) (\u:o. \v:o. (\w:o. w) v)", canonical=False)
+    _assert_driver_matches_reference(t)
+    assert normalize(t) == parse(r"f a b (\u:o v:o. v)")
+
+
+def test_normalize_deep_numeral_at_default_recursion_limit():
+    # x*y at (30, 30) builds a 900-deep numeral, spine first from the outside
+    applied = mk_app(
+        compile_polynomial(parse_polynomial("x*y")), (church_nat(30), church_nat(30))
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        results = [normalize(applied, strategy) for strategy in Strategy]
+    finally:
+        sys.setrecursionlimit(limit)
+    # decoding still recurses (canonicalize, eta_long), so it runs outside
+    assert [decode_nat(nf) for nf in results] == [900, 900]
