@@ -20,13 +20,18 @@ Levels are ordered by permissiveness.  ALMOST_SAFE waives the condition
 at the root node only (the shape application sequences pass through while
 being built up, and the shape a partial block contraction re-wraps into);
 everything below the root must still pass.
+
+``simple_type_of`` and ``safety_check`` share one typing walk with an
+explicit stack, so neither recurses however deep the term is; the safety
+check is that walk with a trace.  ``eta_long`` still recurses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .syntax import (
     GROUND,
@@ -79,8 +84,7 @@ class Level(enum.IntEnum):
         }[self]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One rule application in a safety derivation.
 
     For abs/app entries the comparison performed is
@@ -138,10 +142,6 @@ class SafetyVerdict:
         return head
 
 
-def _join(prefix: str, step: str) -> str:
-    return f"{prefix}.{step}" if prefix else step
-
-
 def _where(path) -> str:
     """Spell out a location kept as linked (parent, step) pairs."""
     steps = []
@@ -163,27 +163,121 @@ def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: 
     )
 
 
-def _type_of(ctx: dict[str, SimpleType], term: Term, path=None) -> SimpleType:
-    # the location is only spelled out when an error is raised
-    if isinstance(term, Var):
-        ty = ctx.get(term.name)
+_binder_name, _binder_type = itemgetter(0), itemgetter(1)
+
+
+def _walk(ctx: dict[str, SimpleType], term: Term, trace: Optional[list]) -> tuple[SimpleType, bool]:
+    """Type `term` in `ctx` in one depth-first pass with an explicit stack.
+
+    `ctx` is updated on entering a block and restored on leaving it.  The
+    head of an App is typed before its arguments, and each argument is
+    checked as soon as it is typed, so the first error is the one a
+    left-to-right recursive typing would meet.  Given a `trace` list, the
+    walk also appends the safety derivation in pre-order: an entry per
+    variable, and per block a slot filled with its order condition when
+    the block is left.  Returns the type and whether a block below the
+    root failed its condition.
+
+    Locations are spelled out for each trace entry; without a trace they
+    are kept as linked (parent, step) pairs and spelled out on an error.
+    """
+    traced = trace is not None
+    inner_failed = False
+    # a frame per block entered and not yet left: [Abs, location, trace
+    # slot, shadowed types] or [App, location, trace slot, head type, index
+    # of the argument typed last]
+    stack: list = []
+    t, loc = term, ("" if traced else None)
+    while True:
+        # go down through blocks to the variable they start with
+        while True:
+            if isinstance(t, App):
+                frame = [t, loc, 0, None, 0]
+                t, step = t.head, "head"
+            elif isinstance(t, Abs):
+                binders = t.binders
+                # the types the binders shadow, None where nothing is shadowed
+                frame = [t, loc, 0, tuple(map(ctx.get, map(_binder_name, binders)))]
+                ctx.update(binders)
+                t, step = t.body, "body"
+            else:
+                break
+            stack.append(frame)
+            if traced:
+                frame[2] = len(trace)
+                trace.append(None)  # this block's entry, filled in on leaving
+                loc = f"{loc}.{step}" if loc else step
+            else:
+                loc = (loc, step)
+        if not isinstance(t, Var):
+            raise TypeError(f"not a term: {t!r}")
+        ty = ctx.get(t.name)
         if ty is None:
-            raise UnboundVariableError(f"unbound variable {term.name!r}", _where(path))
-        return ty
-    if isinstance(term, Abs):
-        inner = dict(ctx)
-        inner.update(term.binders)
-        body = _type_of(inner, term.body, (path, "body"))
-        return SimpleType(tuple(t for _, t in term.binders) + body.arguments)
-    if isinstance(term, App):
-        head = _type_of(ctx, term.head, (path, "head"))
-        wanted = head.arguments
-        for i, arg in enumerate(term.args):
-            got = _type_of(ctx, arg, (path, i))
-            if i >= len(wanted) or got != wanted[i]:
-                raise _arg_error(head, len(term.args), i, got, _where((path, i)))
-        return SimpleType(wanted[len(term.args):])
-    raise TypeError(f"not a term: {term!r}")
+            raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(loc))
+        if traced:
+            trace.append(TraceEntry("var", loc, ty.order))
+
+        # ty is the type of the node just typed: go on with its siblings,
+        # typing variable arguments in place, and leave the blocks it ends
+        while stack:
+            frame = stack[-1]
+            node, at = frame[0], frame[1]
+            if isinstance(node, Abs):
+                for (n, _), old in zip(node.binders, frame[3]):
+                    if old is None:
+                        del ctx[n]
+                    else:
+                        ctx[n] = old
+                ty = SimpleType(tuple(map(_binder_type, node.binders)) + ty.arguments)
+                rule = "abs"
+            else:
+                head, i, args = frame[3], frame[4], node.args
+                if head is None:
+                    frame[3] = head = ty
+                    i = -1  # no argument typed yet
+                wanted = head.arguments
+                while True:
+                    if i >= 0 and (i >= len(wanted) or (ty is not wanted[i] and ty != wanted[i])):
+                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where((at, i))
+                        raise _arg_error(head, len(args), i, ty, where)
+                    i += 1
+                    if i == len(args):
+                        break
+                    t = args[i]
+                    if not isinstance(t, Var):
+                        break
+                    ty = ctx.get(t.name)
+                    if ty is None or traced:
+                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where((at, i))
+                        if ty is None:
+                            raise UnboundVariableError(f"unbound variable {t.name!r}", where)
+                        trace.append(TraceEntry("var", where, ty.order))
+                if i < len(args):
+                    frame[4] = i
+                    loc = (f"{at}.arg{i}" if at else f"arg{i}") if traced else (at, i)
+                    break
+                rest = wanted[len(args):]
+                ty = SimpleType(rest) if rest else GROUND
+                rule = "app"
+            stack.pop()
+            if traced:
+                # the block's order condition against its free variables
+                free = node.free_names
+                if free:
+                    worst_order, worst_name = min([(ctx[n].order, n) for n in free])
+                    ok = worst_order >= ty.order
+                    trace[frame[2]] = TraceEntry(rule, at, ty.order, worst_name, worst_order, ok)
+                    if not ok and stack:
+                        inner_failed = True
+                else:
+                    trace[frame[2]] = TraceEntry(rule, at, ty.order)
+        else:
+            return ty, inner_failed
+
+
+def _type_of(ctx: dict[str, SimpleType], term: Term) -> SimpleType:
+    """The type of `term` in `ctx`; `ctx` is as it was when this returns."""
+    return _walk(ctx, term, None)[0]
 
 
 def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
@@ -196,71 +290,18 @@ def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
 
     The trace holds one entry per node in pre-order.  Failures below the
     root demote the verdict to UnsafeTypable; a failure at the root alone
-    gives AlmostSafe.  Typing happens in the same walk, in the order of
+    gives AlmostSafe.  Typing happens in the same walk as
     `simple_type_of`, so an ill-typed term reports the same first error.
     """
-    trace: list[Optional[TraceEntry]] = []
-    root_failed = False
-    inner_failed = False
-
-    def walk(t: Term, ctx: dict[str, SimpleType], location: str) -> SimpleType:
-        nonlocal root_failed, inner_failed
-        if isinstance(t, Var):
-            ty = ctx.get(t.name)
-            if ty is None:
-                raise UnboundVariableError(f"unbound variable {t.name!r}", location)
-            trace.append(TraceEntry(rule="var", location=location, term_order=ty.order))
-            return ty
-        pos = len(trace)
-        trace.append(None)  # this block's entry, filled in below
-        if isinstance(t, Abs):
-            rule = "abs"
-            inner = dict(ctx)
-            inner.update(t.binders)
-            body = walk(t.body, inner, _join(location, "body"))
-            ty = SimpleType(tuple(b for _, b in t.binders) + body.arguments)
-        elif isinstance(t, App):
-            rule = "app"
-            head = walk(t.head, ctx, _join(location, "head"))
-            wanted = head.arguments
-            for i, arg in enumerate(t.args):
-                where = _join(location, f"arg{i}")
-                got = walk(arg, ctx, where)
-                if i >= len(wanted) or got != wanted[i]:
-                    raise _arg_error(head, len(t.args), i, got, where)
-            ty = SimpleType(wanted[len(t.args):])
-        else:
-            raise TypeError(f"not a term: {t!r}")
-
-        # the block's order condition against its free variables
-        worst_name, worst_order = None, None
-        if t.free_names:
-            worst_name = min(t.free_names, key=lambda n: (ctx[n].order, n))
-            worst_order = ctx[worst_name].order
-        ok = worst_order is None or worst_order >= ty.order
-        trace[pos] = TraceEntry(
-            rule=rule,
-            location=location,
-            term_order=ty.order,
-            free_name=worst_name,
-            free_order=worst_order,
-            ok=ok,
-        )
-        if not ok:
-            if location == "":
-                root_failed = True
-            else:
-                inner_failed = True
-        return ty
-
+    trace: list[TraceEntry] = []
     try:
-        ty = walk(term, dict(env), "")
+        ty, inner_failed = _walk(dict(env), term, trace)
     except TypeCheckError as e:
         entry = TraceEntry(rule="type-error", location=e.location, ok=False, note=e.message)
         return SafetyVerdict(Level.ILL_TYPED, None, (entry,))
     if inner_failed:
         level = Level.UNSAFE_TYPABLE
-    elif root_failed:
+    elif not trace[0].ok:
         level = Level.ALMOST_SAFE
     else:
         level = Level.SAFE

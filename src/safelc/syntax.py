@@ -20,6 +20,14 @@ different terms with different verdicts.  ``parse`` canonicalizes by
 default and offers ``canonical=False`` for when the written grouping must
 survive.
 
+``parse``, ``parse_type`` and ``parse_env`` read the text in one pass over
+its tokens with an explicit stack, so nesting depth is not limited by
+Python's recursion limit.  The parser builds the written grouping; it runs
+the (recursive) ``canonicalize`` only when that grouping is not already
+canonical, i.e. when an abstraction stands directly in an abstraction body
+or an application in head position.  A term's ``size`` and
+``free_names`` are computed once per node, bottom-up without recursion.
+
 >>> parse(r"\f:o->o. \x:o. f x")
 Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name='x'),)))
 >>> pretty(parse(r"(\x:o. x) ((\y:o. y) z)"))
@@ -29,9 +37,8 @@ Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 
 class ParseError(Exception):
@@ -48,26 +55,30 @@ class ParseError(Exception):
 # Types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class SimpleType:
     """A simple type over the single atom ``o``, curried-normalized.
 
     The result of every type is the ground atom, so a type is just the
     tuple of its argument types; ``o`` is ``SimpleType(())`` and
-    ``A -> B`` is ``SimpleType((A,) + B.arguments)``.
+    ``A -> B`` is ``SimpleType((A,) + B.arguments)``.  The order is set
+    when the type is built, from the orders of its arguments.
     """
 
-    arguments: tuple["SimpleType", ...] = ()
+    arguments: tuple["SimpleType", ...]
+    order: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, arguments: tuple["SimpleType", ...] = ()):
+        order = 0
+        for a in arguments:
+            if a.order >= order:
+                order = a.order + 1
+        _set(self, "arguments", arguments)
+        _set(self, "order", order)
 
     @property
     def is_ground(self) -> bool:
         return not self.arguments
-
-    @cached_property
-    def order(self) -> int:
-        if not self.arguments:
-            return 0
-        return 1 + max(a.order for a in self.arguments)
 
     def __str__(self) -> str:
         return type_text(self, spaced=True)
@@ -76,6 +87,7 @@ class SimpleType:
         return type_text(self)
 
 
+_set = object.__setattr__  # SimpleType is frozen
 GROUND = SimpleType()
 
 
@@ -104,29 +116,86 @@ def type_text(t: SimpleType, spaced: bool = False) -> str:
 Binder = tuple[str, SimpleType]
 
 
+class _cached:
+    """A per-node value computed on first read and kept in the node's
+    instance dict; unlike ``functools.cached_property`` it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.compute(node)
+        return value
+
+
+class _measure(_cached):
+    """A `_cached` value over the subterms: a first read fills the node's
+    uncached descendants first, bottom-up with an explicit stack, so
+    `compute` only reads cached children and no measure recurses however
+    deep the term is."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        name, compute = self.name, self.compute
+        todo = [node]
+        while todo:
+            t = todo[-1]
+            cache = t.__dict__
+            if name in cache:
+                todo.pop()
+                continue
+            if isinstance(t, App):
+                children = (t.head, *t.args)
+            elif isinstance(t, Abs):
+                children = (t.body,)
+            else:
+                children = ()
+            waiting = len(todo)
+            for c in children:
+                below = c.__dict__
+                if name not in below:
+                    if isinstance(c, Var):  # a leaf: no need to come back
+                        below[name] = compute(c)
+                    else:
+                        todo.append(c)
+            if len(todo) == waiting:  # every child is cached
+                todo.pop()
+                cache[name] = compute(t)
+        return node.__dict__[name]
+
+
 @dataclass(frozen=True)
 class Term:
-    @cached_property
+    @_measure
     def free_names(self) -> frozenset[str]:
-        raise NotImplementedError
+        """Names of the variables occurring free."""
+        if isinstance(self, Abs):
+            return self.body.free_names - {n for n, _ in self.binders}
+        if isinstance(self, App):
+            out = self.head.free_names
+            for a in self.args:
+                out = out | a.free_names
+            return out
+        return frozenset((self.name,))
 
-    @cached_property
+    @_measure
     def size(self) -> int:
         """Node count, binders included; the measure used by budgets."""
-        raise NotImplementedError
+        if isinstance(self, Abs):
+            return 1 + len(self.binders) + self.body.size
+        if isinstance(self, App):
+            return 1 + self.head.size + sum(a.size for a in self.args)
+        return 1
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
-    @cached_property
-    def size(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -141,15 +210,7 @@ class Abs(Term):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate binder name in block: {names}")
 
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return self.body.free_names - {n for n, _ in self.binders}
-
-    @cached_property
-    def size(self) -> int:
-        return 1 + len(self.binders) + self.body.size
-
-    @cached_property
+    @_cached
     def binder_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.binders)
 
@@ -162,17 +223,6 @@ class App(Term):
     def __post_init__(self):
         if not self.args:
             raise ValueError("App needs at least one argument")
-
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        out = self.head.free_names
-        for a in self.args:
-            out = out | a.free_names
-        return out
-
-    @cached_property
-    def size(self) -> int:
-        return 1 + self.head.size + sum(a.size for a in self.args)
 
 
 TypeEnv = Mapping[str, SimpleType]
@@ -361,101 +411,136 @@ def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
 
 
 class _Parser:
+    """One left-to-right pass over the tokens with an explicit stack.
+
+    Offsets are only worked out, by a second `_scan`, when an error is
+    raised; a well-formed text is read with one `findall`.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        # token texts and offsets; the None sentinel sits at end of input
-        self.tokens, self.offsets = _scan(text, _TOKEN_RE)
-        self.offsets.append(self.offsets[-1] + len(self.tokens[-1]) if self.tokens else 0)
-        self.tokens.append(None)
-        self.i = 0
+        tokens = _TOKEN_RE.findall(text)
+        if "" in tokens:  # the catch-all matched: a character no token starts with
+            _scan(text, _TOKEN_RE)
+        tokens.append(None)  # end of input
+        self.tokens = tokens
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i]
+    def fail(self, i: int, msg: str):
+        """Raise ParseError at token i (len(tokens) - 1 is the end)."""
+        tokens, offsets = _scan(self.text, _TOKEN_RE)
+        offsets.append(offsets[-1] + len(tokens[-1]) if tokens else 0)
+        raise ParseError(msg, *_position(self.text, offsets[i]))
 
-    def fail_at(self, offset: int, msg: str):
-        raise ParseError(msg, *_position(self.text, offset))
+    def expect_end(self, i: int):
+        tok = self.tokens[i]
+        if tok is not None:
+            self.fail(i, f"trailing input starting at {tok!r}")
 
-    def fail(self, msg: str):
-        self.fail_at(self.offsets[self.i], msg)
+    # type  ::= tatom ('->' type)?
+    # tatom ::= '(' type ')' | 'o'
+    def type_at(self, i: int) -> tuple[SimpleType, int]:
+        """The type starting at token i, and the index after it."""
+        tokens = self.tokens
+        if tokens[i] == "o" and tokens[i + 1] != "->":
+            return GROUND, i + 1  # the most common annotation
+        outer: list[list[SimpleType]] = []  # atoms of each enclosing '(' level
+        atoms: list[SimpleType] = []  # the '->'-separated atoms of this level
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                outer.append(atoms)
+                atoms = []
+                i += 1
+                continue
+            if tok is None or tok in _RESERVED:
+                self.fail(i, f"expected type, found {tok!r}")
+            if tok != "o":
+                self.fail(i, f"unknown type atom {tok!r}")
+            i += 1
+            t = GROUND
+            while True:  # t ends an atom: close the levels it completes
+                atoms.append(t)
+                if tokens[i] == "->":
+                    i += 1
+                    break
+                if len(atoms) > 1:
+                    t = SimpleType(tuple(atoms[:-1]) + atoms[-1].arguments)
+                if not outer:
+                    return t, i
+                if tokens[i] != ")":
+                    self.fail(i, f"expected ')', found {tokens[i]!r}")
+                i += 1
+                atoms = outer.pop()
 
-    def advance(self) -> str:
-        tok = self.tokens[self.i]
-        if tok is None:
-            self.fail("unexpected end of input")
-        self.i += 1
-        return tok
+    # term   ::= '\' (ident ':' type)+ '.' term | atom+
+    # atom   ::= '(' term ')' | ident
+    def term_at(self, i: int) -> tuple[Term, int, bool]:
+        """The term starting at token i, the index after it, and whether
+        its grouping is non-canonical (an Abs directly in an Abs body, or
+        an App as an App head)."""
+        tokens, reserved = self.tokens, _RESERVED
+        # frames: a binder tuple waits for its body, a list gathers the
+        # atoms of an application, None waits for a ')'
+        stack: list = []
+        regrouped = False
+        while True:
+            tok = tokens[i]
+            if tok == "\\":
+                binders, i = self.block_at(i + 1)
+                stack.append(binders)
+                continue
+            atoms: list[Term] = []
+            stack.append(atoms)
+            while True:  # the atoms of one application
+                tok = tokens[i]
+                if tok == "(":
+                    stack.append(None)
+                    i += 1
+                    break  # a parenthesized term starts
+                if tok is None or tok in reserved:
+                    self.fail(i, f"expected variable, found {tok!r}")
+                i += 1
+                t: Term = Var(tok)
+                while True:  # t is an atom of the application on top
+                    atoms = stack[-1]
+                    atoms.append(t)
+                    tok = tokens[i]
+                    if tok is not None and (tok == "(" or tok not in reserved):
+                        break  # another atom follows
+                    stack.pop()
+                    t = atoms[0]
+                    if len(atoms) > 1:
+                        regrouped = regrouped or isinstance(t, App)
+                        t = App(t, tuple(atoms[1:]))
+                    while stack and type(stack[-1]) is tuple:
+                        regrouped = regrouped or isinstance(t, Abs)
+                        t = Abs(stack.pop(), t)
+                    if not stack:
+                        return t, i, regrouped
+                    if tokens[i] != ")":
+                        self.fail(i, f"expected ')', found {tokens[i]!r}")
+                    i += 1
+                    stack.pop()  # the parenthesized term is an atom again
 
-    def expect(self, text: str) -> str:
-        if self.tokens[self.i] != text:
-            self.fail(f"expected {text!r}, found {self.peek()!r}")
-        return self.advance()
-
-    def ident(self, what: str = "identifier") -> str:
-        tok = self.tokens[self.i]
-        if tok is None or tok in _RESERVED:
-            self.fail(f"expected {what}, found {tok!r}")
-        self.i += 1
-        return tok
-
-    # type ::= tatom ('->' type)?
-    def parse_type(self) -> SimpleType:
-        left = self.parse_type_atom()
-        if self.peek() == "->":
-            self.advance()
-            right = self.parse_type()
-            return SimpleType((left,) + right.arguments)
-        return left
-
-    def parse_type_atom(self) -> SimpleType:
-        if self.peek() == "(":
-            self.advance()
-            t = self.parse_type()
-            self.expect(")")
-            return t
-        at = self.offsets[self.i]
-        tok = self.ident("type")
-        if tok != "o":
-            self.fail_at(at, f"unknown type atom {tok!r}")
-        return GROUND
-
-    def parse_term(self) -> Term:
-        if self.peek() == "\\":
-            return self.parse_abs()
-        return self.parse_app_seq()
-
-    def parse_abs(self) -> Term:
-        self.expect("\\")
+    def block_at(self, i: int) -> tuple[tuple[Binder, ...], int]:
+        """The binders after a '\\' at token i - 1, and the index after '.'."""
+        tokens = self.tokens
         binders: list[Binder] = []
         names_seen: set[str] = set()
-        while self.peek() != ".":
-            at = self.offsets[self.i]
-            name = self.ident("binder")
+        while True:
+            name = tokens[i]
+            if name is None or name in _RESERVED:
+                self.fail(i, f"expected binder, found {name!r}")
             if name in names_seen:
-                self.fail_at(at, f"duplicate binder {name!r} in one block")
+                self.fail(i, f"duplicate binder {name!r} in one block")
             names_seen.add(name)
-            if self.peek() != ":":
-                self.fail(f"binder {name!r} lacks a type annotation")
-            self.advance()
-            binders.append((name, self.parse_type()))
-        self.expect(".")
-        body = self.parse_term()
-        return Abs(tuple(binders), body)
-
-    def parse_app_seq(self) -> Term:
-        atoms = [self.parse_atom()]
-        while self.peek() is not None and (self.peek() == "(" or self.peek() not in _RESERVED):
-            atoms.append(self.parse_atom())
-        if len(atoms) == 1:
-            return atoms[0]
-        return App(atoms[0], tuple(atoms[1:]))
-
-    def parse_atom(self) -> Term:
-        if self.peek() == "(":
-            self.advance()
-            t = self.parse_term()
-            self.expect(")")
-            return t
-        return Var(self.ident("variable"))
+            i += 1
+            if tokens[i] != ":":
+                self.fail(i, f"binder {name!r} lacks a type annotation")
+            ty, i = self.type_at(i + 1)
+            binders.append((name, ty))
+            if tokens[i] == ".":
+                return tuple(binders), i + 1
 
 
 def parse(text: str, canonical: bool = True) -> Term:
@@ -465,21 +550,19 @@ def parse(text: str, canonical: bool = True) -> Term:
     feed the safety checker an ungrouped abstraction chain.
     """
     p = _Parser(text)
-    if p.peek() is None:
-        p.fail("empty input")
-    t = p.parse_term()
-    if p.peek() is not None:
-        p.fail(f"trailing input starting at {p.peek()!r}")
-    return canonicalize(t) if canonical else t
+    if p.tokens[0] is None:
+        p.fail(0, "empty input")
+    t, i, regrouped = p.term_at(0)
+    p.expect_end(i)
+    return canonicalize(t) if canonical and regrouped else t
 
 
 def parse_type(text: str) -> SimpleType:
     p = _Parser(text)
-    if p.peek() is None:
-        p.fail("empty input")
-    t = p.parse_type()
-    if p.peek() is not None:
-        p.fail(f"trailing input starting at {p.peek()!r}")
+    if p.tokens[0] is None:
+        p.fail(0, "empty input")
+    t, i = p.type_at(0)
+    p.expect_end(i)
     return t
 
 

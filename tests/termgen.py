@@ -1,9 +1,12 @@
-"""Hypothesis strategies shared by the test modules.
+"""Hypothesis strategies and helpers shared by the test modules.
 
-These generate arbitrary raw ASTs (frequently ill-typed, frequently
-non-canonical); the seeded generator of well-typed Safe terms lives in
-safelc.corpus and is exercised separately.
+The strategies generate arbitrary raw ASTs (frequently ill-typed,
+frequently non-canonical); the seeded generator of well-typed Safe terms
+lives in safelc.corpus and is exercised separately.
 """
+
+import sys
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 
@@ -48,3 +51,14 @@ def is_canonical(term: Term) -> bool:
         if isinstance(t, App) and isinstance(t.head, App):
             return False
     return True
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    """Run the block at `limit`, Python's default being 1,000."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)

@@ -70,6 +70,18 @@ def test_check_unparseable_is_usage_error(runner, lamfile):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_check_empty_binder_block_is_usage_error(runner, lamfile, flags):
+    path = lamfile("empty.lam", r"\. x")
+    r = invoke(runner, ["check", path] + flags)
+    assert r.exit_code == 2
+    message = f"{path}: 1:2: expected binder, found '.'"
+    if flags:
+        assert json.loads(r.output) == {"error": message}
+    else:
+        assert r.output == f"error: {message}\n"
+
+
 def test_check_missing_file_is_usage_error(runner):
     r = invoke(runner, ["check", "no-such-file.lam"])
     assert r.exit_code == 2
@@ -192,13 +204,28 @@ def test_eq_step_budget_exits_three(runner, lamfile):
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_eq_deep_input_exits_three_without_traceback(runner, lamfile, flags):
+def test_eq_deep_input_is_decided_without_traceback(runner, lamfile, flags):
     n = 4000
     path = lamfile("deep.lam", r"\s:o->o z:o. " + "s (" * n + "z" + ")" * n)
     r = invoke(runner, ["eq", path, path] + flags)
+    assert r.exit_code == 0
+    assert "Traceback" not in r.output
+    if flags:
+        assert json.loads(r.output) == {"equal": True}
+    else:
+        assert r.output.splitlines() == ["beta-eta equal"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_qbf_deep_input_exits_three_without_traceback(runner, flags):
+    # the QBF parser still recurses, once per parenthesis level and more
+    n = 4000
+    r = invoke(runner, ["qbf", "forall x. " + "(" * n + "x" + ")" * n] + flags)
     assert r.exit_code == 3
     assert "input nested too deeply" in r.output
     assert "Traceback" not in r.output
+    if flags:
+        assert json.loads(r.output) == {"error": "input nested too deeply"}
 
 
 def test_unexpected_exception_exits_four(runner, lamfile, monkeypatch):

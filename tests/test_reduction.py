@@ -26,18 +26,20 @@ from safelc.reduction import (
 )
 from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
 from safelc.syntax import (
+    GROUND,
     Abs,
     App,
     Term,
     Var,
     alpha_eq,
+    arrow,
     canonicalize,
     mk_abs,
     mk_app,
     parse,
     parse_env,
 )
-from termgen import is_canonical, terms
+from termgen import is_canonical, recursion_limit, terms
 
 CHURCH_TWO = parse(r"\s:o->o z:o. s (s z)")
 CHURCH_THREE = parse(r"\s:o->o z:o. s (s (s z))")
@@ -565,3 +567,17 @@ def test_normalize_deep_numeral_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
     # decoding still recurses (canonicalize, eta_long), so it runs outside
     assert [decode_nat(nf) for nf in results] == [900, 900]
+
+
+def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
+    # the first contraction measures the whole input: Term.size and
+    # free_names must not recurse down the 3,000-deep argument
+    deep: Term = Var("z")
+    for _ in range(3_000):
+        deep = App(Var("s"), (deep,))
+    binders = (("s", arrow(GROUND, GROUND)), ("z", GROUND))
+    term = Abs(binders, App(Abs((("x", GROUND),), Var("x")), (deep,)))
+    with recursion_limit(1_000):
+        results = [normalize(term, strategy) for strategy in Strategy]
+    # == on nested dataclasses recurses, so it runs outside
+    assert results == [Abs(binders, deep)] * 2

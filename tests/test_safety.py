@@ -1,20 +1,39 @@
+from typing import Optional
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.safety import (
     ArgumentMismatchError,
     Level,
+    SafetyVerdict,
     TooManyArgumentsError,
+    TraceEntry,
     TypeCheckError,
     UnboundVariableError,
+    _arg_error,
+    _where,
     eta_long,
     homogeneity_check,
     safety_check,
     simple_type_of,
 )
-from safelc.syntax import alpha_eq, parse, parse_env, parse_type, pretty
-from termgen import names, terms, types
+from safelc.syntax import (
+    Abs,
+    App,
+    SimpleType,
+    Term,
+    TypeEnv,
+    Var,
+    alpha_eq,
+    parse,
+    parse_env,
+    parse_type,
+    pretty,
+)
+from termgen import names, recursion_limit, terms, types
 
 
 def check(src, env="", canonical=True):
@@ -194,3 +213,204 @@ def test_ill_typed_entry_matches_simple_type_of(t, env):
         assert (entry.rule, entry.note, entry.location) == ("type-error", e.message, e.location)
     else:
         assert v.level != Level.ILL_TYPED
+
+
+def test_trace_entry_keeps_its_fields_and_text():
+    e = TraceEntry(rule="app", location="body", term_order=1, free_name="x", free_order=0, ok=False)
+    assert e == TraceEntry("app", "body", 1, "x", 0, False, "")
+    assert repr(e) == (
+        "TraceEntry(rule='app', location='body', term_order=1, free_name='x', "
+        "free_order=0, ok=False, note='')"
+    )
+    assert e.describe() == "(app) body VIOLATION: free x order 0 < term order 1"
+    assert TraceEntry("var", "").describe() == "(var) <root>: order None"
+
+
+# --------------------------------------------------------------------------
+# the iterative walk against the recursive checkers
+#
+# `_reference_type_of` and `_reference_safety_check` are the checkers the
+# walk replaced, kept verbatim.  Verdicts, types and the first error
+# (class, message, location) must be `==` on any input.
+
+
+def _join(prefix: str, step: str) -> str:
+    return f"{prefix}.{step}" if prefix else step
+
+
+def _reference_type_of(ctx: dict[str, SimpleType], term: Term, path=None) -> SimpleType:
+    # the location is only spelled out when an error is raised
+    if isinstance(term, Var):
+        ty = ctx.get(term.name)
+        if ty is None:
+            raise UnboundVariableError(f"unbound variable {term.name!r}", _where(path))
+        return ty
+    if isinstance(term, Abs):
+        inner = dict(ctx)
+        inner.update(term.binders)
+        body = _reference_type_of(inner, term.body, (path, "body"))
+        return SimpleType(tuple(t for _, t in term.binders) + body.arguments)
+    if isinstance(term, App):
+        head = _reference_type_of(ctx, term.head, (path, "head"))
+        wanted = head.arguments
+        for i, arg in enumerate(term.args):
+            got = _reference_type_of(ctx, arg, (path, i))
+            if i >= len(wanted) or got != wanted[i]:
+                raise _arg_error(head, len(term.args), i, got, _where((path, i)))
+        return SimpleType(wanted[len(term.args):])
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _reference_safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
+    """Classify a term as Safe / AlmostSafe / UnsafeTypable / IllTyped.
+
+    The trace holds one entry per node in pre-order.  Failures below the
+    root demote the verdict to UnsafeTypable; a failure at the root alone
+    gives AlmostSafe.  Typing happens in the same walk, in the order of
+    `simple_type_of`, so an ill-typed term reports the same first error.
+    """
+    trace: list[Optional[TraceEntry]] = []
+    root_failed = False
+    inner_failed = False
+
+    def walk(t: Term, ctx: dict[str, SimpleType], location: str) -> SimpleType:
+        nonlocal root_failed, inner_failed
+        if isinstance(t, Var):
+            ty = ctx.get(t.name)
+            if ty is None:
+                raise UnboundVariableError(f"unbound variable {t.name!r}", location)
+            trace.append(TraceEntry(rule="var", location=location, term_order=ty.order))
+            return ty
+        pos = len(trace)
+        trace.append(None)  # this block's entry, filled in below
+        if isinstance(t, Abs):
+            rule = "abs"
+            inner = dict(ctx)
+            inner.update(t.binders)
+            body = walk(t.body, inner, _join(location, "body"))
+            ty = SimpleType(tuple(b for _, b in t.binders) + body.arguments)
+        elif isinstance(t, App):
+            rule = "app"
+            head = walk(t.head, ctx, _join(location, "head"))
+            wanted = head.arguments
+            for i, arg in enumerate(t.args):
+                where = _join(location, f"arg{i}")
+                got = walk(arg, ctx, where)
+                if i >= len(wanted) or got != wanted[i]:
+                    raise _arg_error(head, len(t.args), i, got, where)
+            ty = SimpleType(wanted[len(t.args):])
+        else:
+            raise TypeError(f"not a term: {t!r}")
+
+        # the block's order condition against its free variables
+        worst_name, worst_order = None, None
+        if t.free_names:
+            worst_name = min(t.free_names, key=lambda n: (ctx[n].order, n))
+            worst_order = ctx[worst_name].order
+        ok = worst_order is None or worst_order >= ty.order
+        trace[pos] = TraceEntry(
+            rule=rule,
+            location=location,
+            term_order=ty.order,
+            free_name=worst_name,
+            free_order=worst_order,
+            ok=ok,
+        )
+        if not ok:
+            if location == "":
+                root_failed = True
+            else:
+                inner_failed = True
+        return ty
+
+    try:
+        ty = walk(term, dict(env), "")
+    except TypeCheckError as e:
+        entry = TraceEntry(rule="type-error", location=e.location, ok=False, note=e.message)
+        return SafetyVerdict(Level.ILL_TYPED, None, (entry,))
+    if inner_failed:
+        level = Level.UNSAFE_TYPABLE
+    elif root_failed:
+        level = Level.ALMOST_SAFE
+    else:
+        level = Level.SAFE
+    return SafetyVerdict(level, ty, tuple(trace))
+
+
+def _typed(env: TypeEnv, term: Term, type_of):
+    try:
+        return ("ok", type_of(env, term))
+    except TypeCheckError as e:
+        return (type(e).__name__, e.message, e.location)
+
+
+def _assert_checkers_match_reference(env: TypeEnv, term: Term):
+    assert safety_check(env, term) == _reference_safety_check(env, term)
+    want = _typed(env, term, lambda env, t: _reference_type_of(dict(env), t))
+    assert _typed(env, term, simple_type_of) == want
+
+
+@hyp.settings(max_examples=300)
+@hyp.given(terms, st.dictionaries(names, types))
+def test_checkers_match_reference_on_raw_terms(t, env):
+    _assert_checkers_match_reference(env, t)
+
+
+def test_checkers_match_reference_on_hand_corpus():
+    for entry in HAND_CORPUS:
+        _assert_checkers_match_reference(entry.env, entry.term)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_checkers_match_reference_on_generated_corpus(seed):
+    for t in generate_safe_corpus(300, seed):
+        _assert_checkers_match_reference({}, t)
+
+
+def test_checkers_match_reference_on_errors():
+    cases = [
+        ("", "x"),
+        ("f:o->o", "f f"),
+        ("x:o, y:o", "x y"),
+        ("f:o->o, x:o, y:o", "f x y"),
+        ("f:o->o->o, x:o", r"f x (\y:o. y)"),
+        ("f:(o->o)->o", r"f (\y:o. z)"),
+        ("", r"\x:o. (\y:o. y) (x w)"),
+        ("g:o->o", r"\x:o. g ((\y:o->o. y) x)"),
+    ]
+    for env, src in cases:
+        for canonical in (True, False):
+            _assert_checkers_match_reference(parse_env(env), parse(src, canonical=canonical))
+
+
+def test_checkers_restore_shadowed_binders():
+    env = parse_env("x:o->o, y:o")
+    t = parse(r"(\x:o. x) (x y)")
+    _assert_checkers_match_reference(env, t)
+    assert simple_type_of(env, t) == parse_type("o")
+
+
+def _numeral(n: int) -> Term:
+    body: Term = Var("z")
+    for _ in range(n):
+        body = App(Var("s"), (body,))
+    return Abs((("s", parse_type("o->o")), ("z", parse_type("o"))), body)
+
+
+def test_simple_type_of_at_default_recursion_limit():
+    term = parse(r"\s:o->o z:o. " + "s (" * 10_000 + "z" + ")" * 10_000)
+    with recursion_limit(1_000):
+        ty = simple_type_of({}, term)
+    assert ty == parse_type("(o->o)->o->o")
+
+
+def test_safety_check_at_default_recursion_limit():
+    # the trace spells out one location per node, so its size grows with
+    # the square of the depth: 3,000 keeps it near 50 MB
+    n = 3_000
+    term = _numeral(n)
+    with recursion_limit(1_000):
+        v = safety_check({}, term)
+    assert (v.level, v.type) == (Level.SAFE, parse_type("(o->o)->o->o"))
+    assert len(v.trace) == 2 * n + 2
+    assert v.trace[-1] == TraceEntry("var", "body" + ".arg0" * n, 0)

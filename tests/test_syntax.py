@@ -1,13 +1,23 @@
+from typing import Optional
+
 import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
 
+from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.syntax import (
+    _RESERVED,
+    _TOKEN_RE,
     GROUND,
     Abs,
     App,
+    Binder,
     ParseError,
     SimpleType,
+    Term,
     Var,
+    _position,
+    _scan,
     all_names,
     alpha_eq,
     arrow,
@@ -20,7 +30,7 @@ from safelc.syntax import (
     primed,
     type_text,
 )
-from termgen import is_canonical, terms
+from termgen import is_canonical, recursion_limit, terms
 
 O = GROUND
 OO = SimpleType((O,))
@@ -153,6 +163,16 @@ def test_parse_errors_carry_position():
     assert (e.value.line, e.value.column) == (3, 4)
 
 
+def test_parse_rejects_empty_binder_block():
+    for canonical in (True, False):
+        with pytest.raises(ParseError, match="expected binder, found '.'") as e:
+            parse(r"\. x", canonical=canonical)
+        assert (e.value.line, e.value.column) == (1, 2)
+    with pytest.raises(ParseError, match="expected binder, found '.'") as e:
+        parse("\\x:o.\n  (\\ . x)")
+    assert (e.value.line, e.value.column) == (2, 6)
+
+
 def test_parse_env():
     env = parse_env("f:o->o, y:o")
     assert env == {"f": OO, "y": O}
@@ -191,3 +211,268 @@ def test_pretty_parse_round_trip_raw(t):
 @hyp.given(terms)
 def test_alpha_eq_reflexive(t):
     assert alpha_eq(t, t)
+
+
+def test_term_measures_at_default_recursion_limit():
+    n = 3_000
+    t: Term = Var("z")
+    for _ in range(n):
+        t = App(Var("s"), (t,))
+    t = Abs((("z", O),), t)
+    with recursion_limit(1_000):
+        assert (t.size, t.free_names) == (2 * n + 3, frozenset({"s"}))
+
+
+# --------------------------------------------------------------------------
+# the iterative parser against the recursive one
+#
+# `_ReferenceParser`, `_reference_parse` and `_reference_parse_type` are
+# the parser the iterative one replaced, kept verbatim.  Results and
+# errors must be `==`, except that an empty binder block is now a
+# ParseError at its '.' instead of Abs's ValueError.
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        # token texts and offsets; the None sentinel sits at end of input
+        self.tokens, self.offsets = _scan(text, _TOKEN_RE)
+        self.offsets.append(self.offsets[-1] + len(self.tokens[-1]) if self.tokens else 0)
+        self.tokens.append(None)
+        self.i = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i]
+
+    def fail_at(self, offset: int, msg: str):
+        raise ParseError(msg, *_position(self.text, offset))
+
+    def fail(self, msg: str):
+        self.fail_at(self.offsets[self.i], msg)
+
+    def advance(self) -> str:
+        tok = self.tokens[self.i]
+        if tok is None:
+            self.fail("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> str:
+        if self.tokens[self.i] != text:
+            self.fail(f"expected {text!r}, found {self.peek()!r}")
+        return self.advance()
+
+    def ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.i]
+        if tok is None or tok in _RESERVED:
+            self.fail(f"expected {what}, found {tok!r}")
+        self.i += 1
+        return tok
+
+    # type ::= tatom ('->' type)?
+    def parse_type(self) -> SimpleType:
+        left = self.parse_type_atom()
+        if self.peek() == "->":
+            self.advance()
+            right = self.parse_type()
+            return SimpleType((left,) + right.arguments)
+        return left
+
+    def parse_type_atom(self) -> SimpleType:
+        if self.peek() == "(":
+            self.advance()
+            t = self.parse_type()
+            self.expect(")")
+            return t
+        at = self.offsets[self.i]
+        tok = self.ident("type")
+        if tok != "o":
+            self.fail_at(at, f"unknown type atom {tok!r}")
+        return GROUND
+
+    def parse_term(self) -> Term:
+        if self.peek() == "\\":
+            return self.parse_abs()
+        return self.parse_app_seq()
+
+    def parse_abs(self) -> Term:
+        self.expect("\\")
+        binders: list[Binder] = []
+        names_seen: set[str] = set()
+        while self.peek() != ".":
+            at = self.offsets[self.i]
+            name = self.ident("binder")
+            if name in names_seen:
+                self.fail_at(at, f"duplicate binder {name!r} in one block")
+            names_seen.add(name)
+            if self.peek() != ":":
+                self.fail(f"binder {name!r} lacks a type annotation")
+            self.advance()
+            binders.append((name, self.parse_type()))
+        self.expect(".")
+        body = self.parse_term()
+        return Abs(tuple(binders), body)
+
+    def parse_app_seq(self) -> Term:
+        atoms = [self.parse_atom()]
+        while self.peek() is not None and (self.peek() == "(" or self.peek() not in _RESERVED):
+            atoms.append(self.parse_atom())
+        if len(atoms) == 1:
+            return atoms[0]
+        return App(atoms[0], tuple(atoms[1:]))
+
+    def parse_atom(self) -> Term:
+        if self.peek() == "(":
+            self.advance()
+            t = self.parse_term()
+            self.expect(")")
+            return t
+        return Var(self.ident("variable"))
+
+
+def _reference_parse(text: str, canonical: bool = True) -> Term:
+    """Parse a term; by default the result is canonicalized.
+
+    Pass canonical=False to keep the grouping exactly as written, e.g. to
+    feed the safety checker an ungrouped abstraction chain.
+    """
+    p = _ReferenceParser(text)
+    if p.peek() is None:
+        p.fail("empty input")
+    t = p.parse_term()
+    if p.peek() is not None:
+        p.fail(f"trailing input starting at {p.peek()!r}")
+    return canonicalize(t) if canonical else t
+
+
+def _reference_parse_type(text: str) -> SimpleType:
+    p = _ReferenceParser(text)
+    if p.peek() is None:
+        p.fail("empty input")
+    t = p.parse_type()
+    if p.peek() is not None:
+        p.fail(f"trailing input starting at {p.peek()!r}")
+    return t
+
+
+def _numeral_text(n: int) -> str:
+    return r"\s:o->o z:o. " + "s (" * n + "z" + ")" * n
+
+
+def _numeral_depth(t: Term) -> Optional[int]:
+    """n when t is the Church numeral n, else None; without recursion."""
+    if not (isinstance(t, Abs) and t.binders == (("s", OO), ("z", O))):
+        return None
+    t, n = t.body, 0
+    while isinstance(t, App) and t.head == Var("s") and len(t.args) == 1:
+        t, n = t.args[0], n + 1
+    return n if t == Var("z") else None
+
+
+def _parsed(parser, text: str, *args):
+    """What parsing `text` gives: the result, or the error's facts."""
+    try:
+        return ("ok", parser(text, *args))
+    except ParseError as e:
+        return ("ParseError", e.message, e.line, e.column)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _empty_block_at(text: str, line: int, column: int) -> bool:
+    """True when the character at (line, column) is a '.' right after a
+    '\\', spaces between them allowed: an empty binder block."""
+    tokens, offsets = _scan(text, _TOKEN_RE)
+    for k, (tok, offset) in enumerate(zip(tokens, offsets)):
+        if _position(text, offset) == (line, column):
+            return tok == "." and k > 0 and tokens[k - 1] == "\\"
+    return False
+
+
+def _assert_parse_matches_reference(text: str):
+    for canonical in (True, False):
+        got = _parsed(parse, text, canonical)
+        want = _parsed(_reference_parse, text, canonical)
+        if got != want:
+            # the one intended difference: the reference let Abs refuse an
+            # empty block (ValueError) or went on to an error further right
+            assert got[:2] == ("ParseError", "expected binder, found '.'"), (text, got, want)
+            assert _empty_block_at(text, got[2], got[3]), (text, got, want)
+    assert _parsed(parse_type, text) == _parsed(_reference_parse_type, text)
+
+
+@hyp.settings(max_examples=300)
+@hyp.given(terms)
+def test_parser_matches_reference_on_printed_raw_terms(t):
+    _assert_parse_matches_reference(pretty(t))
+
+
+_EDIT_CHARS = list("\\.():->oxyfz \n") + ["o->o", "\\x:o."]
+
+
+@hyp.settings(max_examples=500)
+@hyp.given(terms, st.data())
+def test_parser_matches_reference_on_mutated_texts(t, data):
+    text = pretty(t)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["truncate", "insert", "delete"]))
+        if edit == "truncate":
+            text = text[:at]
+        elif edit == "insert":
+            text = text[:at] + data.draw(st.sampled_from(_EDIT_CHARS)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    _assert_parse_matches_reference(text)
+
+
+def test_parser_matches_reference_on_hand_corpus():
+    for entry in HAND_CORPUS:
+        _assert_parse_matches_reference(pretty(entry.term))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_parser_matches_reference_on_generated_corpus(seed):
+    for t in generate_safe_corpus(300, seed):
+        _assert_parse_matches_reference(pretty(t))
+
+
+def test_parser_matches_reference_on_hand_written_texts():
+    texts = [
+        r"\x:o. \x:o. x",
+        r"\x'1:o. \x:o. (\x:o. x)",
+        r"((f x) y) ((g) (z))",
+        r"\f:(o->o)->o. f (\x:o. f (\y:o. x))",
+        r"\x:((o)). x",
+        r"\x:o->. x",
+        r"\x:(o->o. x",
+        "",
+        "  \n ",
+        r"\. x",
+        r"\x:o. \ . x",
+        r"(\.)",
+        "f \\x:o. x",
+    ]
+    for text in texts:
+        _assert_parse_matches_reference(text)
+
+
+def test_parse_at_default_recursion_limit():
+    n = 10_000
+    text = _numeral_text(n)
+    with recursion_limit(1_000):
+        grouped = parse(text)
+        written = parse(text, canonical=False)
+    assert _numeral_depth(grouped) == _numeral_depth(written) == n
+
+
+def test_parse_type_at_default_recursion_limit():
+    n = 10_000
+    with recursion_limit(1_000):
+        nested = parse_type("(" * n + "o" + ")->o" * n)
+        spine = parse_type("o->" * n + "o")
+    assert nested.order == n
+    for _ in range(n):
+        (nested,) = nested.arguments
+    assert nested == O
+    assert spine.order == 1 and spine.arguments == (O,) * n
