@@ -7,14 +7,13 @@ Exit codes are part of the contract: 0 success, 1 negative verdict
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .corpus import run_one_suite, run_suites, suite_names
+from .corpus import run_suites
 from .encodings import (
     DecodeError,
     Word,
@@ -32,9 +31,9 @@ from .games import (
     build_computation_tree,
     core_indices,
     enumerate_traversals,
-    normal_form_of_traversals,
     p_view_indices,
     parity,
+    traversal_normal_form,
 )
 from .hardness import CHURCH_TRUE, equality_instance, qbf_to_term
 from .qbf import parse_qbf, qbf_text
@@ -370,7 +369,7 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
     term = _load_term(termfile, as_json)
     tree = build_computation_tree(env, term)
     traversals = enumerate_traversals(tree, max_len=max_length)
-    nf = normal_form_of_traversals(tree, traversals)
+    nf = traversal_normal_form(tree, max_length)
 
     lines = [f"computation tree: {len(tree.nodes)} nodes"]
     payload = {
@@ -417,25 +416,13 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
     _emit(as_json, payload, lines)
 
 
-def _suite_job(args):
-    name, count, seed = args
-    return run_one_suite(name, count=count, seed=seed)
-
-
 @main.command()
 @click.option("--count", default=200, show_default=True, type=click.IntRange(0))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(1))
 @click.option("--json", "as_json", is_flag=True)
-def corpus(count, seed, jobs, as_json):
+def corpus(count, seed, as_json):
     """Run the built-in corpus through every property suite."""
-    if jobs == 1:
-        results = run_suites(count=count, seed=seed)
-    else:
-        names = suite_names()
-        work = [(n, count, seed) for n in names]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            results = list(pool.map(_suite_job, work))
+    results = run_suites(count=count, seed=seed)
     lines = [f"{'suite':<24} {'checked':>8}  result"]
     for r in results:
         state = "ok" if r.ok else f"{len(r.failures)} failed"

@@ -364,27 +364,16 @@ def _suite_reconstruction(generated) -> SuiteResult:
     return SuiteResult("safe-reconstruction", len(terms), tuple(failures))
 
 
-_SUITES: tuple[tuple[str, Callable], ...] = (
-    ("hand-verdicts", _suite_verdicts),
-    ("no-capture", _suite_no_capture),
-    ("strategy-agreement", _suite_strategy_agreement),
-    ("traversal-normal-form", _suite_traversal_normal_form),
-    ("safe-reconstruction", _suite_reconstruction),
+_SUITES: tuple[Callable[..., SuiteResult], ...] = (
+    _suite_verdicts,
+    _suite_no_capture,
+    _suite_strategy_agreement,
+    _suite_traversal_normal_form,
+    _suite_reconstruction,
 )
-
-
-def suite_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _SUITES)
-
-
-def run_one_suite(name: str, count: int = 200, seed: int = 0) -> SuiteResult:
-    table = dict(_SUITES)
-    if name not in table:
-        raise KeyError(f"unknown suite {name!r}")
-    return table[name](generate_safe_corpus(count, seed))
 
 
 def run_suites(count: int = 200, seed: int = 0) -> list[SuiteResult]:
     """All property suites over the hand corpus plus `count` generated terms."""
     generated = generate_safe_corpus(count, seed)
-    return [fn(generated) for _, fn in _SUITES]
+    return [suite(generated) for suite in _SUITES]

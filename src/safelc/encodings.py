@@ -395,19 +395,28 @@ class Compose(WordFunctionSpec):
     inner: WordFunctionSpec
 
 
+def _json_word(data) -> str:
+    word = data["word"]
+    if not isinstance(word, str):
+        raise ValueError(f"'word' must be a string, not {type(word).__name__}")
+    return word
+
+
 def word_spec_from_json(data) -> WordFunctionSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("word-function spec must be an object with a 'kind'")
     kind = data["kind"]
     if kind == "const":
-        return ConstWord(data["word"])
+        return ConstWord(_json_word(data))
     if kind == "append_const":
-        return AppendConst(data["word"])
+        return AppendConst(_json_word(data))
     if kind == "prepend_const":
-        return PrependConst(data["word"])
+        return PrependConst(_json_word(data))
     if kind == "letter_hom":
         rules = data["mapping"]
-        if not isinstance(rules, dict):
+        if not isinstance(rules, dict) or not all(
+            isinstance(image, str) for image in rules.values()
+        ):
             raise ValueError("'mapping' must map letters to words")
         return LetterHom(tuple(sorted(rules.items())))
     if kind == "compose":

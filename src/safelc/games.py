@@ -4,9 +4,11 @@ A well-typed term unfolds, after full eta-expansion, into a computation
 tree whose levels alternate between lambda nodes and variable/application
 nodes.  Walking the tree under the traversal rules simulates evaluation
 without performing a single substitution; justification pointers do the
-bookkeeping that renaming would otherwise do.  The cores of the maximal
-traversals spell out the branches of the beta-eta-normal form, which is
-how `traversal_normal_form` computes normal forms, and `uncover` /
+bookkeeping that renaming would otherwise do.  One depth-first walk over
+a shared prefix finds every traversal: `enumerate_traversals` copies
+each one out, and `traversal_normal_form` copies none, assembling the
+beta-eta-normal form from the cores of the maximal traversals, which
+spell out its branches, as the walk reaches them.  `uncover` /
 `reconstruct_p_pointers` probe when the pointers carried by variable
 occurrences are redundant.
 
@@ -15,7 +17,7 @@ it, and its order accounts for the types of the free names so that order
 comparisons against it behave as if the context were abstracted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .reduction import BudgetExceededError
@@ -178,21 +180,20 @@ def p_view_indices(occurrences) -> list[int]:
     return out
 
 
-def enumerate_traversals(
-    tree: ComputationTree, max_len: int = 200
-) -> tuple[Traversal, ...]:
-    """All maximal traversals in canonical order: by length, then by the
-    child order at the first choice where two part, as a breadth-first
-    walk finds them.  Traversals that could still grow at max_len come
-    back with maximal=False.
+def _walk(tree: ComputationTree, max_len: int):
+    """Walk every traversal depth first over one shared prefix.
 
-    The walk is depth first over one shared prefix and copies a tuple
-    only for a finished traversal; a stable sort by length restores the
-    canonical order.  As every P-view is the whole prefix (see
-    `p_view_indices`), a variable's binder is the latest occurrence of
-    its node, kept in a table undone on backtrack, and a variable is an
-    input when the core flag stored as it is appended holds: O(1)
-    amortised per occurrence.
+    At each finished traversal yield the live prefix (a list of
+    occurrences), its core flags, whether it is maximal, and how many
+    positions it shares with the traversal yielded before it; the lists
+    are the walk's own and change once the walk resumes.  Children of an
+    input variable are explored in order, so traversals come in the
+    pre-order of the branches they spell.
+
+    As every P-view is the whole prefix (see `p_view_indices`), a
+    variable's binder is the latest occurrence of its node, kept in a
+    table undone on backtrack, and a variable is an input when the core
+    flag stored as it is appended holds: O(1) amortised per occurrence.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
@@ -201,7 +202,6 @@ def enumerate_traversals(
     core: list[bool] = []  # no @ on the justification chain
     latest = [-1] * len(tree.nodes)  # node id -> its latest index in occs
     shadowed: list[int] = []  # the `latest` entry each occurrence replaced
-    done: list[Traversal] = []
     pending = [(0, Occurrence(root, None, "root"))]  # (prefix length, next)
     while pending:
         depth, occ = pending.pop()
@@ -230,7 +230,7 @@ def enumerate_traversals(
             elif core[here]:
                 # an input: the environment may answer with any argument
                 if not node.children:
-                    done.append(Traversal(tuple(occs), maximal=True))
+                    yield occs, core, True, depth
                     break
                 occ = Occurrence(node.children[0], here, "ivar")
                 others = node.children[1:]
@@ -243,10 +243,28 @@ def enumerate_traversals(
                     index += 1
                 occ = Occurrence(parent.children[index], here, "var")
             if here + 1 >= max_len:
-                done.append(Traversal(tuple(occs), maximal=False))
+                yield occs, core, False, depth
                 break
             if others:
                 pending.extend((here + 1, Occurrence(c, here, "ivar")) for c in reversed(others))
+
+
+def enumerate_traversals(
+    tree: ComputationTree, max_len: int = 200
+) -> tuple[Traversal, ...]:
+    """All maximal traversals in canonical order: by length, then by the
+    child order at the first choice where two part, as a breadth-first
+    walk finds them.  Traversals that could still grow at max_len come
+    back with maximal=False.
+
+    One depth-first walk (`_walk`) finds them; each is copied into a
+    tuple as it finishes, and a stable sort by length restores the
+    canonical order.
+    """
+    done = [
+        Traversal(tuple(occs), maximal)
+        for occs, _, maximal, _ in _walk(tree, max_len)
+    ]
     done.sort(key=len)
     return tuple(done)
 
@@ -369,79 +387,56 @@ def reconstruct_p_pointers(
 # normalization by traversal
 
 
-@dataclass
-class _TrieLam:
-    node: LambdaNode
-    var: Optional["_TrieVar"] = None
-
-
-@dataclass
-class _TrieVar:
-    node: VarNode
-    pointer: int  # core position of the lambda occurrence answered to
-    children: dict = field(default_factory=dict)  # LambdaNode -> _TrieLam
-
-
 def traversal_normal_form(tree: ComputationTree, budget: int = 200) -> Term:
-    """Assemble the beta-eta-long normal form from traversal cores.
+    """The beta-eta-long normal form, assembled from the traversal cores
+    during one depth-first walk, with no traversal stored.
 
-    Every maximal traversal contributes one branch; the branches merge on
-    their common prefixes.  Raises BudgetExceededError when some
-    traversal is still extendable at the length budget.
+    Core positions alternate lambda and variable occurrences, and the
+    core of each maximal traversal spells one branch of the normal form.
+    A stack holds one open frame per core lambda on the current branch;
+    when the walk backtracks, the frames past the shared prefix are
+    complete and close into arguments of the frame below.  Core lambdas
+    are renamed n1, n2, ... in the order the walk first meets them.
+    Raises BudgetExceededError when some traversal is still extendable
+    at the length budget.
     """
-    return normal_form_of_traversals(tree, enumerate_traversals(tree, budget))
-
-
-def normal_form_of_traversals(
-    tree: ComputationTree, traversals: tuple[Traversal, ...]
-) -> Term:
-    """`traversal_normal_form` from the result of
-    `enumerate_traversals(tree, budget)`, whose cut traversals all have
-    length budget."""
-    cut = [t for t in traversals if not t.maximal]
-    if cut:
-        n, budget = len(cut), len(cut[0])
-        raise BudgetExceededError(
-            budget, n, f"{n} traversal(s) still extendable at length {budget}"
-        )
-    trie = _TrieLam(tree.root)
-    for t in traversals:
-        kept = core_indices(t)
-        remap = {orig: k for k, orig in enumerate(kept)}
-        cur = trie
-        for k, orig in enumerate(kept):
-            occ = t.occurrences[orig]
-            if k == 0:
-                continue  # the shared root
-            if k % 2 == 1:  # variable position
-                pointer = remap[occ.justifier]
-                if cur.var is None:
-                    cur.var = _TrieVar(occ.node, pointer)
-                elif cur.var.node is not occ.node or cur.var.pointer != pointer:
-                    raise ValueError("traversal cores disagree on a prefix")
-            else:  # lambda position: branch on which argument was explored
-                cur = cur.var.children.setdefault(
-                    occ.node, _TrieLam(occ.node)
-                )
     fresh = fresh_names("n", set(tree.env) | set(tree.term.free_names))
+    frames: list[list] = []  # [position, binders, head name, arguments]
+    frame_at: dict[int, list] = {}  # position of a core lambda -> its frame
+    cut = 0
 
-    def assemble(t: _TrieLam, stack: list) -> Term:
-        renamed = tuple((next(fresh), bty) for _, bty in t.node.binders)
-        stack.append(renamed)
-        v = t.var
-        if v is None:
-            raise ValueError("incomplete core: ends at a lambda")
-        if v.node.binder is None:
-            name = v.node.name
-        else:
-            block = [n for n, _ in v.node.binder.binders]
-            name = stack[v.pointer // 2][block.index(v.node.name)][0]
-        position = {id(c): k for k, c in enumerate(v.node.children)}
-        branches = sorted(v.children.items(), key=lambda kv: position[id(kv[0])])
-        if len(branches) != len(v.node.children):
-            raise ValueError(f"unexplored argument under {v.node.name}")
-        args = tuple(assemble(sub, stack) for _, sub in branches)
-        stack.pop()
-        return mk_abs(renamed, mk_app(Var(name), args))
+    def close_from(position: int) -> Optional[Term]:
+        """Close the frames at or past `position`; the last one's term."""
+        term = None
+        while frames and frames[-1][0] >= position:
+            _, binders, head, args = frames.pop()
+            term = mk_abs(binders, mk_app(Var(head), tuple(args)))
+            if frames:
+                frames[-1][3].append(term)
+        return term
 
-    return assemble(trie, [])
+    for occs, core, maximal, shared in _walk(tree, budget):
+        if not maximal:
+            cut += 1
+        if cut:
+            continue  # keep walking only to count the cut traversals
+        close_from(shared)
+        for i in range(shared, len(occs)):
+            if not core[i]:
+                continue
+            node = occs[i].node
+            if isinstance(node, LambdaNode):
+                renamed = tuple((next(fresh), bty) for _, bty in node.binders)
+                frame_at[i] = [i, renamed, None, []]
+                frames.append(frame_at[i])
+            elif node.binder is None:
+                frames[-1][2] = node.name
+            else:
+                block = [n for n, _ in node.binder.binders]
+                binders = frame_at[occs[i].justifier][1]
+                frames[-1][2] = binders[block.index(node.name)][0]
+    if cut:
+        raise BudgetExceededError(
+            budget, cut, f"{cut} traversal(s) still extendable at length {budget}"
+        )
+    return close_from(0)

@@ -394,8 +394,13 @@ def test_word_malformed_spec(runner, tmp_path):
     [
         ("not json", "Expecting value"),
         ('{"kind": "reverse"}', "unknown word-function constructor 'reverse'"),
+        ('{"kind": "const", "word": 5}', "'word' must be a string, not int"),
+        (
+            '{"kind": "letter_hom", "mapping": {"a": ["a"]}}',
+            "'mapping' must map letters to words",
+        ),
     ],
-    ids=["not-json", "unknown-kind"],
+    ids=["not-json", "unknown-kind", "word-not-string", "image-not-string"],
 )
 def test_word_spec_errors_name_the_spec(runner, tmp_path, text, reason, as_json):
     spec = tmp_path / "id.lam"
@@ -555,17 +560,6 @@ def test_corpus_json_shape(runner):
     assert all(s["ok"] for s in data["suites"])
 
 
-def test_corpus_jobs_agree_with_serial(runner):
-    serial = invoke(runner, ["corpus", "--count", "30", "--json"])
-    parallel = invoke(runner, ["corpus", "--count", "30", "--jobs", "3", "--json"])
-    assert json.loads(serial.output) == json.loads(parallel.output)
-
-
-def test_corpus_rejects_bad_jobs(runner):
-    r = invoke(runner, ["corpus", "--jobs", "0"])
-    assert r.exit_code == 2
-
-
 # -- misc --------------------------------------------------------------
 
 
@@ -578,7 +572,7 @@ def test_corpus_rejects_bad_jobs(runner):
         ["eq", "{id}", "{id}", "--max-steps", "0"],
         ["eq", "{id}", "{id}", "--max-size", "0"],
         ["traverse", "{id}", "--max-length", "0"],
-        ["corpus", "--jobs", "0"],
+        ["corpus", "--count", "-1"],
     ],
     ids=lambda args: " ".join(args[:1] + args[-2:]),
 )

@@ -4,6 +4,7 @@ import hypothesis as hyp
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
+from safelc.encodings import church_nat
 from safelc.games import (
     AppNode,
     ComputationTree,
@@ -30,7 +31,7 @@ from safelc.reduction import BudgetExceededError, normalize
 from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
 from safelc.syntax import GROUND, Abs, App, alpha_eq, arrow, parse, pretty
 
-from termgen import terms
+from termgen import recursion_limit, terms
 
 Y = {"y": GROUND}
 
@@ -230,8 +231,36 @@ def test_normal_form_differential():
         assert alpha_eq(got, want), (src, pretty(got), pretty(want))
 
 
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        (r"\a:o g:o->o. (\x:o f:o->o. f x) a g", r"\n1:o n2:o->o. n2 n1"),
+        (r"\p:o->o->o x:o y:o. p x y", r"\n1:o->o->o n2:o n3:o. n1 n2 n3"),
+        (
+            r"\h:(o->o)->o. h (\u:o. h (\w:o. u))",
+            r"\n1:(o->o)->o. n1 (\n2:o. n1 (\n3:o. n2))",
+        ),
+        (
+            r"(\n:(o->o)->o->o s:o->o z:o. n s (n s z)) (\s:o->o z:o. s z)",
+            r"\n1:o->o n2:o. n1 (n1 n2)",
+        ),
+    ],
+)
+def test_normal_form_text(src, text):
+    # binders are renamed n1, n2, ... in the pre-order of the core lambdas
+    assert pretty(traversal_normal_form(tree_of(src))) == text
+
+
+def test_normal_form_of_deep_numeral_at_default_recursion_limit():
+    numeral = church_nat(600)
+    tree = build_computation_tree({}, numeral)  # tree building still recurses
+    with recursion_limit(1_000):
+        got = traversal_normal_form(tree, 10_000)
+    assert alpha_eq(got, eta_long({}, numeral))
+
+
 def test_normal_form_church_one_applied_to_itself():
-    from safelc.encodings import church_nat, church_nat_at
+    from safelc.encodings import church_nat_at
 
     lifted = church_nat_at(1, arrow(GROUND, GROUND))
     t = build_computation_tree({}, App(lifted, (church_nat(1),)))
