@@ -77,11 +77,25 @@ def _spine(text: str, letter_term, end: Term) -> Term:
 
 def _read_spine(term: Term, k: int, what: str) -> list[int]:
     """Letter indices, outermost first, of a closed normal term with k
-    letters; anything else raises DecodeError naming `what` it is not."""
+    letters; anything else raises DecodeError naming `what` it is not.
+
+    A term that already is a closed eta-long spine is read as it is, since
+    `eta_long` would return a term equal to it; any other term is
+    eta-expanded first and read again.
+    """
+    try:
+        return _spine_letters(term, k, what)
+    except DecodeError:
+        pass  # not an eta-long spine as it stands
     try:
         t = eta_long({}, term)
     except TypeCheckError as e:
         raise DecodeError(f"not a {what}: {e}") from e
+    return _spine_letters(t, k, what)
+
+
+def _spine_letters(t: Term, k: int, what: str) -> list[int]:
+    """The letter indices of `t` read as it stands."""
     if not isinstance(t, Abs) or len(t.binders) != k + 1:
         raise DecodeError(f"not a {what}: expected {k + 1} binders")
     unary = arrow(GROUND, GROUND)

@@ -5,7 +5,9 @@ classical one: it renames bound variables out of the way and serves as the
 oracle.  `subst_no_rename` replaces variables textually and never renames;
 instead it reports the binders that captured.  On terms that stay inside
 the safety discipline the two agree and that set stays empty, which is the
-whole point of the restriction.
+whole point of the restriction.  Either walk goes down only the paths to
+the substituted variables: a subterm in which no substituted name is free
+comes back as the same object, unvisited.
 
 The step functions differ in how much of a redex they consume:
 
@@ -127,18 +129,24 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
     if isinstance(term, Var):
         return mapping.get(term.name, term), _NO_CAPTURE
     if isinstance(term, App):
-        head, captured = _subst(term.head, mapping, rename)
-        args = []
-        changed = head is not term.head
-        for a in term.args:
-            new, c = _subst(a, mapping, rename)
-            if c:
-                captured |= c
-            changed = changed or new is not a
-            args.append(new)
+        # a child in which no mapped name is free comes back as it is
+        captured = _NO_CAPTURE
+        changed = False
+        children = []
+        for c in (term.head, *term.args):
+            if type(c) is Var:
+                new = mapping.get(c.name, c)
+            elif c.free_names.isdisjoint(mapping):
+                new = c
+            else:
+                new, more = _subst(c, mapping, rename)
+                if more:
+                    captured |= more
+            changed = changed or new is not c
+            children.append(new)
         if not changed:
             return term, captured
-        return mk_app(head, tuple(args)), captured
+        return mk_app(children[0], tuple(children[1:])), captured
     assert isinstance(term, Abs)
     shadowed = term.binder_names
     active = {

@@ -22,11 +22,13 @@ survive.
 
 ``parse``, ``parse_type`` and ``parse_env`` read the text in one pass over
 its tokens with an explicit stack, so nesting depth is not limited by
-Python's recursion limit.  The parser builds the written grouping; it runs
-the (recursive) ``canonicalize`` only when that grouping is not already
-canonical, i.e. when an abstraction stands directly in an abstraction body
-or an application in head position.  A term's ``size`` and
-``free_names`` are computed once per node, bottom-up without recursion.
+Python's recursion limit.  The parser builds the written grouping and
+notes whether it is canonical; only when it is not (an abstraction stands
+directly in an abstraction body or an application in head position) does
+it run the (recursive) rebuild that ``canonicalize`` uses.  A term's ``size`` is set when its
+node is built, from the sizes of its children, which always exist first.
+Only ``free_names`` is filled lazily, once per node, bottom-up without
+recursion; keeping it lazy keeps the nodes small.
 
 >>> parse(r"\f:o->o. \x:o. f x")
 Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name='x'),)))
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping
 
 
 class ParseError(Exception):
@@ -171,6 +173,11 @@ class _measure(_cached):
 
 @dataclass(frozen=True)
 class Term:
+    """A term node.  Every node has `size`, its node count with binders
+    included (the measure budgets use), set when the node is built."""
+
+    size: ClassVar[int]
+
     @_measure
     def free_names(self) -> frozenset[str]:
         """Names of the variables occurring free."""
@@ -183,46 +190,55 @@ class Term:
             return out
         return frozenset((self.name,))
 
-    @_measure
-    def size(self) -> int:
-        """Node count, binders included; the measure used by budgets."""
-        if isinstance(self, Abs):
-            return 1 + len(self.binders) + self.body.size
-        if isinstance(self, App):
-            return 1 + self.head.size + sum(a.size for a in self.args)
-        return 1
-
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
+    size = 1
 
-@dataclass(frozen=True)
+
+# Abs and App write their own __init__: it checks the node, stores the
+# fields straight into the instance dict, as the frozen dataclass __init__
+# would through object.__setattr__, and sets `size` from the children's.
+
+
+@dataclass(frozen=True, init=False)
 class Abs(Term):
     binders: tuple[Binder, ...]
     body: Term
 
-    def __post_init__(self):
-        if not self.binders:
+    def __init__(self, binders: tuple[Binder, ...], body: Term):
+        if not binders:
             raise ValueError("Abs needs at least one binder")
-        names = [n for n, _ in self.binders]
+        names = [n for n, _ in binders]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate binder name in block: {names}")
+        fields = self.__dict__
+        fields["binders"] = binders
+        fields["body"] = body
+        fields["size"] = 1 + len(binders) + body.size
 
     @_cached
     def binder_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.binders)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class App(Term):
     head: Term
     args: tuple[Term, ...]
 
-    def __post_init__(self):
-        if not self.args:
+    def __init__(self, head: Term, args: tuple[Term, ...]):
+        if not args:
             raise ValueError("App needs at least one argument")
+        size = 1 + head.size
+        for a in args:
+            size += a.size
+        fields = self.__dict__
+        fields["head"] = head
+        fields["args"] = args
+        fields["size"] = size
 
 
 TypeEnv = Mapping[str, SimpleType]
@@ -291,8 +307,24 @@ def canonicalize(term: Term) -> Term:
     Idempotent.  If merging two blocks would put the same name twice in
     one block, the earlier (necessarily vacuous, since the later binder
     shadows it over its entire scope) binder is renamed with the primed
-    fresh-name scheme.
+    fresh-name scheme.  A term that is already canonical (no Abs directly
+    in an Abs body, no App as an App head) is returned as it is, after
+    one pass that rebuilds nothing.
     """
+    for t in subterms(term):
+        if isinstance(t, Abs):
+            if isinstance(t.body, Abs):
+                return _regroup(term)
+        elif isinstance(t, App):
+            if isinstance(t.head, App):
+                return _regroup(term)
+        elif not isinstance(t, Var):
+            raise TypeError(f"not a term: {t!r}")
+    return term
+
+
+def _regroup(term: Term) -> Term:
+    """`canonicalize` without the check: rebuild every node."""
     if isinstance(term, Var):
         return term
     if isinstance(term, Abs):
@@ -301,7 +333,7 @@ def canonicalize(term: Term) -> Term:
         while isinstance(body, Abs):
             binders.extend(body.binders)
             body = body.body
-        body = canonicalize(body)
+        body = _regroup(body)
         # later binders win a name clash; rename the shadowed earlier ones
         seen: set[str] = set()
         taken = set(n for n, _ in binders) | all_names(body)
@@ -314,8 +346,8 @@ def canonicalize(term: Term) -> Term:
         out = Abs(tuple(binders), body)
         return out
     if isinstance(term, App):
-        head = canonicalize(term.head)
-        args = tuple(canonicalize(a) for a in term.args)
+        head = _regroup(term.head)
+        args = tuple(_regroup(a) for a in term.args)
         while isinstance(head, App):
             args = head.args + args
             head = head.head
@@ -328,7 +360,7 @@ def mk_abs(binders: tuple[Binder, ...], body: Term) -> Term:
     if not binders:
         return body
     if isinstance(body, Abs):
-        return canonicalize(Abs(binders, body))
+        return _regroup(Abs(binders, body))
     return Abs(binders, body)
 
 
@@ -554,7 +586,7 @@ def parse(text: str, canonical: bool = True) -> Term:
         p.fail(0, "empty input")
     t, i, regrouped = p.term_at(0)
     p.expect_end(i)
-    return canonicalize(t) if canonical and regrouped else t
+    return _regroup(t) if canonical and regrouped else t
 
 
 def parse_type(text: str) -> SimpleType:

@@ -9,6 +9,7 @@ import sys
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
+import pytest
 
 from safelc.syntax import GROUND, Abs, App, SimpleType, Term, Var, subterms
 
@@ -55,10 +56,19 @@ def is_canonical(term: Term) -> bool:
 
 @contextmanager
 def recursion_limit(limit: int):
-    """Run the block at `limit`, Python's default being 1,000."""
+    """Run the block at `limit`, Python's default being 1,000.
+
+    An overflow in the block fails the test with a one-line message: a
+    traceback about `limit` frames deep would take pytest minutes and
+    hundreds of megabytes to format.
+    """
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
         yield
+    except RecursionError:
+        raise pytest.fail.Exception(
+            f"overflowed at recursion limit {limit}", pytrace=False
+        ) from None
     finally:
         sys.setrecursionlimit(saved)

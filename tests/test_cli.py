@@ -13,6 +13,7 @@ from safelc.encodings import DecodeError
 from safelc.reduction import BudgetExceededError, CaptureViolation
 from safelc.safety import TypeCheckError
 from safelc.syntax import ParseError, alpha_eq, parse
+from termgen import recursion_limit
 
 
 @pytest.fixture
@@ -270,8 +271,8 @@ def test_unexpected_exception_exits_four(runner, lamfile, monkeypatch):
 def test_library_failures_follow_the_exit_table(
     runner, monkeypatch, exc, code, message, flags
 ):
-    # x=30,y=30 computes a 900-deep numeral: an overflow there is in a
-    # result, not in the five characters of input
+    # each failure is raised while computing a result, after the five
+    # characters of input have been read
     def failing(term, *args, **kwargs):
         raise exc
 
@@ -294,6 +295,15 @@ def test_poly_evaluates_at_point(runner):
     lines = r.output.splitlines()
     assert lines[0].startswith("Safe : ")
     assert lines[-1] == "p(x=2, y=1) = 12"
+
+
+def test_poly_deep_numeral_at_default_recursion_limit(runner):
+    # x*y at (30, 30) normalizes to a 900-deep numeral, and decoding it
+    # reads the spine without recursion
+    with recursion_limit(1_000):
+        r = invoke(runner, ["poly", "x*y", "--at", "x=30,y=30"])
+    assert r.exit_code == 0
+    assert r.output.splitlines()[-1] == "p(x=30, y=30) = 900"
 
 
 def test_poly_json_value(runner):

@@ -1,13 +1,14 @@
 import itertools
-import sys
 from typing import Optional
 
 import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import church_nat, compile_polynomial, decode_nat, parse_polynomial
 from safelc.reduction import (
+    _NO_CAPTURE,
     DEFAULT_BUDGET,
     BudgetExceededError,
     CaptureViolation,
@@ -16,6 +17,7 @@ from safelc.reduction import (
     _contract_plain,
     _contract_safe,
     _normalize_counted,
+    _subst,
     beta_eta_equal,
     beta_step,
     normalize,
@@ -31,6 +33,7 @@ from safelc.syntax import (
     App,
     Term,
     Var,
+    all_names,
     alpha_eq,
     arrow,
     canonicalize,
@@ -38,6 +41,8 @@ from safelc.syntax import (
     mk_app,
     parse,
     parse_env,
+    primed,
+    subterms,
 )
 from termgen import is_canonical, recursion_limit, terms
 
@@ -69,6 +74,10 @@ def test_no_rename_reports_capture():
     out, captured = subst_no_rename(parse(r"\y:o. x"), {"x": Var("y")})
     assert out == parse(r"\y:o. y")
     assert captured
+    assert captured == {"y"}
+    # a capture below an application, beside an untouched argument
+    out, captured = subst_no_rename(parse(r"f a (\y:o. x)"), {"x": Var("y")})
+    assert out == parse(r"f a (\y:o. y)")
     assert captured == {"y"}
 
 
@@ -559,14 +568,9 @@ def test_normalize_deep_numeral_at_default_recursion_limit():
     applied = mk_app(
         compile_polynomial(parse_polynomial("x*y")), (church_nat(30), church_nat(30))
     )
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1_000)
-    try:
-        results = [normalize(applied, strategy) for strategy in Strategy]
-    finally:
-        sys.setrecursionlimit(limit)
-    # decoding still recurses (canonicalize, eta_long), so it runs outside
-    assert [decode_nat(nf) for nf in results] == [900, 900]
+    with recursion_limit(1_000):
+        values = [decode_nat(normalize(applied, strategy)) for strategy in Strategy]
+    assert values == [900, 900]
 
 
 def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
@@ -581,3 +585,124 @@ def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
         results = [normalize(term, strategy) for strategy in Strategy]
     # == on nested dataclasses recurses, so it runs outside
     assert results == [Abs(binders, deep)] * 2
+
+
+# --------------------------------------------------------------------------
+# sizes and substitution against the walks they replaced
+#
+# `_reference_size` is the recursive node count `Term.size` once was, and
+# `_reference_subst` is the substitution walk that visited every subterm,
+# kept verbatim.  Sizes set at construction, and a walk that skips the
+# children in which no mapped name is free, must give `==` results,
+# captured sets and shared objects.
+
+
+def _reference_size(t: Term) -> int:
+    if isinstance(t, Abs):
+        return 1 + len(t.binders) + _reference_size(t.body)
+    if isinstance(t, App):
+        return 1 + _reference_size(t.head) + sum(_reference_size(a) for a in t.args)
+    return 1
+
+
+def _reference_subst(term: Term, mapping, rename: bool) -> tuple[Term, frozenset[str]]:
+    # One walk for both disciplines.  Returns the substituted term plus
+    # the binder names that captured a free variable of some landed image.
+    # A binder clashes when it names a free variable of an image that lands
+    # under it; with `rename` the binder is renamed out of the way (so the
+    # set stays empty), without it the clash is reported.
+    if not mapping:
+        return term, _NO_CAPTURE
+    if isinstance(term, Var):
+        return mapping.get(term.name, term), _NO_CAPTURE
+    if isinstance(term, App):
+        head, captured = _reference_subst(term.head, mapping, rename)
+        args = []
+        changed = head is not term.head
+        for a in term.args:
+            new, c = _reference_subst(a, mapping, rename)
+            if c:
+                captured |= c
+            changed = changed or new is not a
+            args.append(new)
+        if not changed:
+            return term, captured
+        return mk_app(head, tuple(args)), captured
+    assert isinstance(term, Abs)
+    shadowed = term.binder_names
+    active = {
+        x: u
+        for x, u in mapping.items()
+        if x in term.body.free_names and x not in shadowed
+    }
+    if not active:
+        return term, _NO_CAPTURE
+    clashing = frozenset(
+        y for y in shadowed if any(y in u.free_names for u in active.values())
+    )
+    binders = term.binders
+    if clashing and rename:
+        used = set(term.body.free_names) | set(shadowed) | set(active)
+        for u in active.values():
+            used |= u.free_names
+        renamed = []
+        for y, ty in binders:
+            if y in clashing:
+                active[y] = Var(primed(y, used))
+                y = active[y].name
+            renamed.append((y, ty))
+        binders = tuple(renamed)
+        clashing = _NO_CAPTURE
+    body, captured = _reference_subst(term.body, active, rename)
+    if binders is term.binders and body is term.body:
+        return term, clashing | captured
+    return mk_abs(binders, body), clashing | captured
+
+
+def _kept(before: Term, after: Term) -> set[int]:
+    """Identities of the nodes of `before` that `after` still holds."""
+    old = {id(t) for t in subterms(before)}
+    return {id(t) for t in subterms(after) if id(t) in old}
+
+
+@hyp.given(terms, st.data())
+def test_subst_matches_reference_and_keeps_untouched_children(t, data):
+    mapping = data.draw(
+        st.dictionaries(st.sampled_from(sorted(all_names(t))), terms, max_size=3)
+    )
+    for rename in (False, True):
+        got = _subst(t, mapping, rename)
+        want = _reference_subst(t, mapping, rename)
+        assert got == want
+        assert _kept(t, got[0]) == _kept(t, want[0])
+        # down the applications from the root the mapping applies as
+        # given: a child in which no mapped name is free is the same
+        # object, or, an application in head position, flattened into
+        # the rebuilt application
+        kept = _kept(t, got[0])
+        apps = [t]
+        while apps:
+            node = apps.pop()
+            if not isinstance(node, App):
+                continue
+            for c in (node.head, *node.args):
+                if not c.free_names.isdisjoint(mapping):
+                    apps.append(c)
+                elif c is node.head and isinstance(c, App) and id(c) not in kept:
+                    assert {id(c.head), *map(id, c.args)} <= kept
+                else:
+                    assert id(c) in kept
+
+
+@hyp.given(terms)
+def test_size_matches_reference_count_on_raw_terms(t):
+    assert t.size == _reference_size(t)
+    assert canonicalize(t).size == _reference_size(canonicalize(t))
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_size_matches_reference_count_along_reduction_sequences(seed):
+    for term in generate_safe_corpus(300, seed):
+        for strategy in Strategy:
+            for t in reduction_sequence(term, strategy):
+                assert t.size == _reference_size(t)

@@ -1,3 +1,4 @@
+import sys
 from typing import Optional
 
 import hypothesis as hyp
@@ -17,6 +18,7 @@ from safelc.syntax import (
     Term,
     Var,
     _position,
+    _regroup,
     _scan,
     all_names,
     alpha_eq,
@@ -193,6 +195,14 @@ def test_canonicalize_idempotent(t):
 
 
 @hyp.given(terms)
+def test_canonicalize_returns_canonical_input_itself(t):
+    c = canonicalize(t)
+    assert canonicalize(c) is c
+    # the result is the rebuild canonicalize once ran on every input
+    assert c == _regroup(t)
+
+
+@hyp.given(terms)
 def test_canonicalize_preserves_free_names(t):
     assert canonicalize(t).free_names == t.free_names
 
@@ -211,6 +221,17 @@ def test_pretty_parse_round_trip_raw(t):
 @hyp.given(terms)
 def test_alpha_eq_reflexive(t):
     assert alpha_eq(t, t)
+
+
+def test_recursion_limit_turns_an_overflow_into_a_short_failure():
+    def down(n):
+        return down(n + 1)
+
+    saved = sys.getrecursionlimit()
+    with pytest.raises(pytest.fail.Exception, match="overflowed at recursion limit 200"):
+        with recursion_limit(200):
+            down(0)
+    assert sys.getrecursionlimit() == saved
 
 
 def test_term_measures_at_default_recursion_limit():
