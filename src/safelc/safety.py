@@ -22,8 +22,13 @@ being built up, and the shape a partial block contraction re-wraps into);
 everything below the root must still pass.
 
 ``simple_type_of`` and ``safety_check`` share one typing walk with an
-explicit stack, so neither recurses however deep the term is; the safety
-check is that walk with a trace.  ``eta_long`` still recurses.
+explicit stack, so neither recurses however deep the term is.  The check
+decides each block's condition in that walk from a few (binding depth,
+order) pairs per open block, with no free-variable sets and no trace.
+The derivation, one ``TraceEntry`` per node, is spelled out by the same
+walk only when a verdict's ``trace`` is first read, as ``safelc check
+--trace`` does, or its failures are listed for a term that is not Safe.
+``eta_long`` still recurses.
 """
 
 from __future__ import annotations
@@ -120,20 +125,37 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class SafetyVerdict:
+    """A level, the simple type (None when ill-typed) and the derivation.
+
+    A verdict from `safety_check` spells its `trace` out from the term the
+    first time it is read, so reading only the level and the type never
+    builds it.  A Safe verdict has no failures, so reading them builds
+    nothing either.
+    """
+
     level: Level
     type: Optional[SimpleType]
     trace: tuple[TraceEntry, ...]
 
+    def __getattr__(self, name: str):
+        # reached only while `trace` is missing, as in a verdict from
+        # `safety_check` that kept its `_source`: spell it out once and keep it
+        source = self.__dict__.get("_source")
+        if name != "trace" or source is None:
+            raise AttributeError(name)
+        trace = self.__dict__["trace"] = tuple(_walk(*source, _TRACE)[2])
+        return trace
+
     @property
     def failures(self) -> tuple[TraceEntry, ...]:
+        if self.level is Level.SAFE:
+            return ()
         return tuple(e for e in self.trace if not e.ok)
 
     @property
     def first_failure(self) -> Optional[TraceEntry]:
-        for e in self.trace:
-            if not e.ok:
-                return e
-        return None
+        failures = self.failures
+        return failures[0] if failures else None
 
     def describe(self) -> str:
         head = str(self.level)
@@ -142,13 +164,12 @@ class SafetyVerdict:
         return head
 
 
-def _where(path) -> str:
-    """Spell out a location kept as linked (parent, step) pairs."""
-    steps = []
-    while path is not None:
-        path, step = path
-        steps.append(step if isinstance(step, str) else f"arg{step}")
-    return ".".join(reversed(steps))
+def _where(stack: list) -> str:
+    """Spell out the location below the open frames of `_walk`."""
+    return ".".join(
+        "body" if isinstance(f[0], Abs) else "head" if f[4] is None else f"arg{f[5]}"
+        for f in stack
+    )
 
 
 def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: str) -> TypeCheckError:
@@ -165,65 +186,129 @@ def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: 
 
 _binder_name, _binder_type = itemgetter(0), itemgetter(1)
 
+# what `_walk` works out besides the type: nothing, the safety level, or
+# the level and the derivation
+_TYPE, _LEVEL, _TRACE = range(3)
 
-def _walk(ctx: dict[str, SimpleType], term: Term, trace: Optional[list]) -> tuple[SimpleType, bool]:
+
+def _add(stair: list, depth: int, key) -> None:
+    """Note a variable bound at stack index `depth` with `key` in a staircase.
+
+    A staircase is a list of (depth, key) pairs with depths increasing and
+    keys decreasing: a pair stays only while no pair at an equal or lower
+    depth has an equal or lower key.  So the least key among the variables
+    bound below depth k is the key of the last pair with depth below k,
+    and there is at most one pair per distinct key.
+    """
+    d, k = stair[-1]
+    if d <= depth:  # the common case: nothing deeper to drop
+        if k > key:
+            if d == depth:
+                stair[-1] = (depth, key)
+            else:
+                stair.append((depth, key))
+        return
+    j = len(stair) - 1
+    while j and stair[j - 1][0] > depth:
+        j -= 1
+    if j:
+        d, k = stair[j - 1]
+        if k <= key:
+            return
+        if d == depth:
+            j -= 1
+    # the pairs at `depth` or deeper that the new one makes redundant
+    e = j
+    while e < len(stair) and stair[e][1] >= key:
+        e += 1
+    stair[j:e] = ((depth, key),)
+
+
+def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType, Optional[Level], Optional[list]]:
     """Type `term` in `ctx` in one depth-first pass with an explicit stack.
 
-    `ctx` is updated on entering a block and restored on leaving it.  The
-    head of an App is typed before its arguments, and each argument is
-    checked as soon as it is typed, so the first error is the one a
-    left-to-right recursive typing would meet.  Given a `trace` list, the
-    walk also appends the safety derivation in pre-order: an entry per
-    variable, and per block a slot filled with its order condition when
-    the block is left.  Returns the type and whether a block below the
-    root failed its condition.
+    Under `_TYPE`, `ctx` is updated on entering a block and restored on
+    leaving it, so it is as it was when this returns.  The head of an App
+    is typed before its arguments, and each argument is checked as soon as
+    it is typed, so the first error is the one a left-to-right recursive
+    typing would meet.
 
-    Locations are spelled out for each trace entry; without a trace they
-    are kept as linked (parent, step) pairs and spelled out on an error.
+    Under `_LEVEL` and `_TRACE` the walk works on a copy of `ctx` that
+    also places each name at the stack index of the frame binding it (-1
+    for the names of `ctx`), and decides each block's order condition.
+    Every open block keeps a staircase (see `_add`) of the variables
+    occurring in it so far, keyed by their order.  The variables free in
+    the block at index i are those placed below i, so its least free
+    order is the key of the last pair placed below i; on leaving it, the
+    pairs placed below i-1 go on to the parent.  Under `_TRACE` keys are
+    (order, name), so the least one also names the variable attaining
+    it, and the walk appends the derivation in pre-order: an entry per
+    variable, and per block a slot filled with its order condition when
+    the block is left.
+
+    Returns the type, the level (None under `_TYPE`) and the derivation
+    (None unless `_TRACE`).  Locations are spelled out for each trace
+    entry; otherwise they are spelled out from the stack on an error.
     """
-    traced = trace is not None
-    inner_failed = False
-    # a frame per block entered and not yet left: [Abs, location, trace
-    # slot, shadowed types] or [App, location, trace slot, head type, index
-    # of the argument typed last]
+    levels, traced = mode != _TYPE, mode == _TRACE
+    if levels:
+        ctx = {n: (ty, -1) for n, ty in ctx.items()}
+    trace: Optional[list] = [] if traced else None
+    root_failed = inner_failed = False
+    # a frame per block entered and not yet left: [Abs, location,
+    # staircase, trace slot, shadowed entries of ctx] or [App, location,
+    # staircase, trace slot, head type, index of the argument typed last];
+    # the staircase is None while empty
     stack: list = []
-    t, loc = term, ("" if traced else None)
+    t = term
+    loc = at = ""
     while True:
         # go down through blocks to the variable they start with
         while True:
             if isinstance(t, App):
-                frame = [t, loc, 0, None, 0]
+                frame = [t, loc, None, 0, None, 0]
                 t, step = t.head, "head"
             elif isinstance(t, Abs):
                 binders = t.binders
-                # the types the binders shadow, None where nothing is shadowed
-                frame = [t, loc, 0, tuple(map(ctx.get, map(_binder_name, binders)))]
-                ctx.update(binders)
+                # the entries the binders shadow, None where nothing is shadowed
+                frame = [t, loc, None, 0, tuple(map(ctx.get, map(_binder_name, binders)))]
+                if levels:
+                    depth = len(stack)
+                    ctx.update([(n, (ty, depth)) for n, ty in binders])
+                else:
+                    ctx.update(binders)
                 t, step = t.body, "body"
             else:
                 break
             stack.append(frame)
             if traced:
-                frame[2] = len(trace)
+                frame[3] = len(trace)
                 trace.append(None)  # this block's entry, filled in on leaving
                 loc = f"{loc}.{step}" if loc else step
-            else:
-                loc = (loc, step)
         if not isinstance(t, Var):
             raise TypeError(f"not a term: {t!r}")
         ty = ctx.get(t.name)
         if ty is None:
-            raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(loc))
-        if traced:
-            trace.append(TraceEntry("var", loc, ty.order))
+            raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(stack))
+        if levels:
+            ty, depth = ty
+            if traced:
+                trace.append(TraceEntry("var", loc, ty.order))
+            if stack:
+                frame = stack[-1]
+                key = (ty.order, t.name) if traced else ty.order
+                if frame[2] is None:
+                    frame[2] = [(depth, key)]
+                else:
+                    _add(frame[2], depth, key)
 
         # ty is the type of the node just typed: go on with its siblings,
         # typing variable arguments in place, and leave the blocks it ends
         while stack:
             frame = stack[-1]
-            node, at = frame[0], frame[1]
+            node = frame[0]
             if isinstance(node, Abs):
-                for (n, _), old in zip(node.binders, frame[3]):
+                for (n, _), old in zip(node.binders, frame[4]):
                     if old is None:
                         del ctx[n]
                     else:
@@ -231,14 +316,17 @@ def _walk(ctx: dict[str, SimpleType], term: Term, trace: Optional[list]) -> tupl
                 ty = SimpleType(tuple(map(_binder_type, node.binders)) + ty.arguments)
                 rule = "abs"
             else:
-                head, i, args = frame[3], frame[4], node.args
+                head, i, args = frame[4], frame[5], node.args
                 if head is None:
-                    frame[3] = head = ty
+                    frame[4] = head = ty
                     i = -1  # no argument typed yet
                 wanted = head.arguments
+                if traced:
+                    at = frame[1]
                 while True:
                     if i >= 0 and (i >= len(wanted) or (ty is not wanted[i] and ty != wanted[i])):
-                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where((at, i))
+                        frame[5] = i
+                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
                         raise _arg_error(head, len(args), i, ty, where)
                     i += 1
                     if i == len(args):
@@ -247,37 +335,74 @@ def _walk(ctx: dict[str, SimpleType], term: Term, trace: Optional[list]) -> tupl
                     if not isinstance(t, Var):
                         break
                     ty = ctx.get(t.name)
-                    if ty is None or traced:
-                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where((at, i))
-                        if ty is None:
-                            raise UnboundVariableError(f"unbound variable {t.name!r}", where)
-                        trace.append(TraceEntry("var", where, ty.order))
+                    if ty is None:
+                        frame[5] = i
+                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
+                        raise UnboundVariableError(f"unbound variable {t.name!r}", where)
+                    if levels:
+                        ty, depth = ty
+                        key = ty.order
+                        if traced:
+                            trace.append(TraceEntry("var", f"{at}.arg{i}" if at else f"arg{i}", key))
+                            key = (key, t.name)
+                        if frame[2] is None:
+                            frame[2] = [(depth, key)]
+                        else:
+                            _add(frame[2], depth, key)
                 if i < len(args):
-                    frame[4] = i
-                    loc = (f"{at}.arg{i}" if at else f"arg{i}") if traced else (at, i)
+                    frame[5] = i
+                    if traced:
+                        loc = f"{at}.arg{i}" if at else f"arg{i}"
                     break
                 rest = wanted[len(args):]
                 ty = SimpleType(rest) if rest else GROUND
                 rule = "app"
             stack.pop()
-            if traced:
-                # the block's order condition against its free variables
-                free = node.free_names
-                if free:
-                    worst_order, worst_name = min([(ctx[n].order, n) for n in free])
-                    ok = worst_order >= ty.order
-                    trace[frame[2]] = TraceEntry(rule, at, ty.order, worst_name, worst_order, ok)
-                    if not ok and stack:
+            if not levels:
+                continue
+            # the block's order condition against its free variables
+            stair, depth = frame[2], len(stack)
+            n = len(stair) if stair else 0
+            if n and stair[n - 1][0] == depth:  # bound by this block
+                n -= 1
+            if n:
+                key = stair[n - 1][1]
+                ok = (key[0] if traced else key) >= ty.order
+                if not ok:
+                    if stack:
                         inner_failed = True
-                else:
-                    trace[frame[2]] = TraceEntry(rule, at, ty.order)
+                    else:
+                        root_failed = True
+                if traced:
+                    trace[frame[3]] = TraceEntry(rule, frame[1], ty.order, key[1], key[0], ok)
+                # hand on what is free in the parent too
+                while n and stair[n - 1][0] >= depth - 1:
+                    n -= 1
+                if n:
+                    above = stack[-1]
+                    if above[2] is None:
+                        del stair[n:]
+                        above[2] = stair
+                    else:
+                        for d, key in stair[:n]:
+                            _add(above[2], d, key)
+            elif traced:
+                trace[frame[3]] = TraceEntry(rule, frame[1], ty.order)
         else:
-            return ty, inner_failed
+            if not levels:
+                return ty, None, None
+            if inner_failed:
+                level = Level.UNSAFE_TYPABLE
+            elif root_failed:
+                level = Level.ALMOST_SAFE
+            else:
+                level = Level.SAFE
+            return ty, level, trace
 
 
 def _type_of(ctx: dict[str, SimpleType], term: Term) -> SimpleType:
     """The type of `term` in `ctx`; `ctx` is as it was when this returns."""
-    return _walk(ctx, term, None)[0]
+    return _walk(ctx, term, _TYPE)[0]
 
 
 def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
@@ -288,32 +413,21 @@ def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
 def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
     """Classify a term as Safe / AlmostSafe / UnsafeTypable / IllTyped.
 
-    The trace holds one entry per node in pre-order.  Failures below the
-    root demote the verdict to UnsafeTypable; a failure at the root alone
-    gives AlmostSafe.  Typing happens in the same walk as
-    `simple_type_of`, so an ill-typed term reports the same first error.
+    Failures below the root demote the verdict to UnsafeTypable; a failure
+    at the root alone gives AlmostSafe.  Typing happens in the same walk
+    as `simple_type_of`, so an ill-typed term reports the same first
+    error, and its trace is that one entry.  Otherwise the trace, one
+    entry per node in pre-order, is spelled out when first read.
     """
-    trace: list[TraceEntry] = []
+    ctx = dict(env)
     try:
-        ty, inner_failed = _walk(dict(env), term, trace)
+        ty, level, _ = _walk(ctx, term, _LEVEL)
     except TypeCheckError as e:
         entry = TraceEntry(rule="type-error", location=e.location, ok=False, note=e.message)
         return SafetyVerdict(Level.ILL_TYPED, None, (entry,))
-    if inner_failed:
-        level = Level.UNSAFE_TYPABLE
-    elif not trace[0].ok:
-        level = Level.ALMOST_SAFE
-    else:
-        level = Level.SAFE
-    return SafetyVerdict(level, ty, tuple(trace))
-
-
-def homogeneity_check(t: SimpleType) -> bool:
-    """True iff argument orders are non-increasing, hereditarily."""
-    orders = [a.order for a in t.arguments]
-    if any(orders[i] < orders[i + 1] for i in range(len(orders) - 1)):
-        return False
-    return all(homogeneity_check(a) for a in t.arguments)
+    verdict = object.__new__(SafetyVerdict)  # with no trace until it is read
+    verdict.__dict__.update(level=level, type=ty, _source=(ctx, term))
+    return verdict
 
 
 def eta_long(env: TypeEnv, term: Term) -> Term:

@@ -54,6 +54,14 @@ def is_canonical(term: Term) -> bool:
     return True
 
 
+def homogeneity_check(t: SimpleType) -> bool:
+    """True iff argument orders are non-increasing, hereditarily."""
+    orders = [a.order for a in t.arguments]
+    if any(orders[i] < orders[i + 1] for i in range(len(orders) - 1)):
+        return False
+    return all(homogeneity_check(a) for a in t.arguments)
+
+
 @contextmanager
 def recursion_limit(limit: int):
     """Run the block at `limit`, Python's default being 1,000.

@@ -1,10 +1,15 @@
+import itertools
+import tracemalloc
 from typing import Optional
 
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from safelc import safety
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
+from safelc.encodings import conditional_candidates
+from safelc.hardness import enumerate_qbfs, equality_instance
 from safelc.safety import (
     ArgumentMismatchError,
     Level,
@@ -14,9 +19,7 @@ from safelc.safety import (
     TypeCheckError,
     UnboundVariableError,
     _arg_error,
-    _where,
     eta_long,
-    homogeneity_check,
     safety_check,
     simple_type_of,
 )
@@ -32,8 +35,9 @@ from safelc.syntax import (
     parse_env,
     parse_type,
     pretty,
+    subterms,
 )
-from termgen import names, recursion_limit, terms, types
+from termgen import homogeneity_check, names, recursion_limit, terms, types
 
 
 def check(src, env="", canonical=True):
@@ -238,6 +242,15 @@ def _join(prefix: str, step: str) -> str:
     return f"{prefix}.{step}" if prefix else step
 
 
+def _where(path) -> str:
+    """Spell out a location kept as linked (parent, step) pairs."""
+    steps = []
+    while path is not None:
+        path, step = path
+        steps.append(step if isinstance(step, str) else f"arg{step}")
+    return ".".join(reversed(steps))
+
+
 def _reference_type_of(ctx: dict[str, SimpleType], term: Term, path=None) -> SimpleType:
     # the location is only spelled out when an error is raised
     if isinstance(term, Var):
@@ -345,7 +358,16 @@ def _typed(env: TypeEnv, term: Term, type_of):
 
 
 def _assert_checkers_match_reference(env: TypeEnv, term: Term):
-    assert safety_check(env, term) == _reference_safety_check(env, term)
+    got, want = safety_check(env, term), _reference_safety_check(env, term)
+    # the level and type come from the walk that builds no trace: read
+    # them, and the failures of a Safe verdict, before the trace exists
+    assert (got.level, got.type) == (want.level, want.type)
+    if got.level is Level.SAFE:
+        assert (got.failures, got.first_failure) == ((), None)
+    if got.level is not Level.ILL_TYPED:
+        assert "trace" not in vars(got)
+    assert got == want
+    assert (got.failures, got.first_failure) == (want.failures, want.first_failure)
     want = _typed(env, term, lambda env, t: _reference_type_of(dict(env), t))
     assert _typed(env, term, simple_type_of) == want
 
@@ -365,6 +387,43 @@ def test_checkers_match_reference_on_hand_corpus():
 def test_checkers_match_reference_on_generated_corpus(seed):
     for t in generate_safe_corpus(300, seed):
         _assert_checkers_match_reference({}, t)
+
+
+def test_checkers_match_reference_on_conditional_candidates():
+    for term, verdict in conditional_candidates():
+        assert verdict == _reference_safety_check({}, term)
+        _assert_checkers_match_reference({}, term)
+
+
+def test_checkers_match_reference_on_criterion_5_left_sides():
+    for f in itertools.islice(enumerate_qbfs(3, 3), 0, 200 * 212, 212):
+        _assert_checkers_match_reference({}, equality_instance(f)[0])
+
+
+@hyp.given(st.lists(st.tuples(st.integers(-1, 5), st.integers(0, 4)), min_size=1, max_size=12))
+def test_staircase_keeps_the_least_key_below_every_depth(pairs):
+    stair = [pairs[0]]
+    for depth, key in pairs[1:]:
+        safety._add(stair, depth, key)
+    for below in range(-1, 7):
+        want = min((k for d, k in pairs if d < below), default=None)
+        got = next((k for d, k in reversed(stair) if d < below), None)
+        assert got == want
+
+
+def test_safe_verdict_builds_no_trace_and_no_free_names(monkeypatch):
+    t = parse(r"\f:(o->o)->o. f (\x:o. f (\y:o. y))")
+
+    def no_entries(*args, **kwargs):
+        raise AssertionError("a trace entry was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(safety, "TraceEntry", no_entries)
+        v = safety_check({}, t)
+        assert (v.level, v.failures, v.first_failure) == (Level.SAFE, (), None)
+    assert "trace" not in vars(v)
+    assert not any("free_names" in vars(u) for u in subterms(t))
+    assert v.trace == _reference_safety_check({}, t).trace
 
 
 def test_checkers_match_reference_on_errors():
@@ -402,6 +461,22 @@ def test_simple_type_of_at_default_recursion_limit():
     with recursion_limit(1_000):
         ty = simple_type_of({}, term)
     assert ty == parse_type("(o->o)->o->o")
+
+
+def test_safety_check_of_deep_numeral_keeps_memory_flat():
+    # without the trace the check keeps a few pairs per open block, so its
+    # memory grows with the depth only; the trace would take hundreds of MB
+    n = 10_000
+    term = _numeral(n)
+    with recursion_limit(1_000):
+        tracemalloc.start()
+        try:
+            v = safety_check({}, term)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (v.level, v.type) == (Level.SAFE, parse_type("(o->o)->o->o"))
+    assert peak < 30 * 2**20
 
 
 def test_safety_check_at_default_recursion_limit():
