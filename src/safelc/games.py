@@ -92,9 +92,11 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
     expanded = eta_long(env, term)  # the one type check
     # an eta-long term abstracts every argument of its type
     top = expanded.binders if isinstance(expanded, Abs) else ()
+    # a well-typed term has no free names in an empty env
+    free = expanded.free_names if env else ()
     root_order = max(
         [SimpleType(tuple(bty for _, bty in top)).order]
-        + [env[n].order + 1 for n in expanded.free_names]
+        + [env[n].order + 1 for n in free]
     )
     nodes: list[TreeNode] = []
     # lambda nodes still to build: (term, order, scope, the parent's
@@ -400,7 +402,8 @@ def traversal_normal_form(tree: ComputationTree, budget: int = 200) -> Term:
     Raises BudgetExceededError when some traversal is still extendable
     at the length budget.
     """
-    fresh = fresh_names("n", set(tree.env) | set(tree.term.free_names))
+    # the tree's term is typed in its env, so every free name is in env
+    fresh = fresh_names("n", set(tree.env))
     frames: list[list] = []  # [position, binders, head name, arguments]
     frame_at: dict[int, list] = {}  # position of a core lambda -> its frame
     cut = 0

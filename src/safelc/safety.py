@@ -28,15 +28,17 @@ order) pairs per open block, with no free-variable sets and no trace.
 The derivation, one ``TraceEntry`` per node, is spelled out by the same
 walk only when a verdict's ``trace`` is first read, as ``safelc check
 --trace`` does, or its failures are listed for a term that is not Safe.
-``eta_long`` still recurses.
+``eta_long`` types the term in the same walk, which also notes whether
+it is eta-long already, and expands it, when it is not, with an explicit
+stack.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from operator import is_, itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 from .syntax import (
     GROUND,
@@ -186,9 +188,9 @@ def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: 
 
 _binder_name, _binder_type = itemgetter(0), itemgetter(1)
 
-# what `_walk` works out besides the type: nothing, the safety level, or
-# the level and the derivation
-_TYPE, _LEVEL, _TRACE = range(3)
+# what `_walk` works out besides the type: nothing, whether the term is
+# eta-long, the safety level, or the level and the derivation
+_TYPE, _ETA, _LEVEL, _TRACE = range(4)
 
 
 def _add(stair: list, depth: int, key) -> None:
@@ -246,11 +248,21 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
     variable, and per block a slot filled with its order condition when
     the block is left.
 
-    Returns the type, the level (None under `_TYPE`) and the derivation
-    (None unless `_TRACE`).  Locations are spelled out for each trace
+    `_ETA` is `_TYPE` that also notes whether the term, taken as
+    canonical, is eta-long: every abstraction body is ground, and so is
+    every variable or application standing as the root or as an argument.
+    It keeps the frame of each application whose head is an abstraction,
+    in pre-order, to read the head's type off at the end.
+
+    Returns the type, the level (None under `_TYPE` and `_ETA`) and the
+    derivation under `_TRACE`.  Under `_ETA` the third item is None when
+    the term is eta-long, and otherwise the types of its abstractions in
+    head position, in pre-order.  Locations are spelled out for each trace
     entry; otherwise they are spelled out from the stack on an error.
     """
-    levels, traced = mode != _TYPE, mode == _TRACE
+    levels, traced = mode >= _LEVEL, mode == _TRACE
+    eta = mode == _ETA  # until a block or an argument shows otherwise
+    redexes: Optional[list] = [] if eta else None
     if levels:
         ctx = {n: (ty, -1) for n, ty in ctx.items()}
     trace: Optional[list] = [] if traced else None
@@ -267,6 +279,8 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
         while True:
             if isinstance(t, App):
                 frame = [t, loc, None, 0, None, 0]
+                if redexes is not None and isinstance(t.head, Abs):
+                    redexes.append(frame)
                 t, step = t.head, "head"
             elif isinstance(t, Abs):
                 binders = t.binders
@@ -313,6 +327,8 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                         del ctx[n]
                     else:
                         ctx[n] = old
+                if ty.arguments:
+                    eta = False  # a body of arrow type
                 ty = SimpleType(tuple(map(_binder_type, node.binders)) + ty.arguments)
                 rule = "abs"
             else:
@@ -324,10 +340,13 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 if traced:
                     at = frame[1]
                 while True:
-                    if i >= 0 and (i >= len(wanted) or (ty is not wanted[i] and ty != wanted[i])):
-                        frame[5] = i
-                        where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
-                        raise _arg_error(head, len(args), i, ty, where)
+                    if i >= 0:
+                        if i >= len(wanted) or (ty is not wanted[i] and ty != wanted[i]):
+                            frame[5] = i
+                            where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
+                            raise _arg_error(head, len(args), i, ty, where)
+                        if eta and ty.arguments and not isinstance(args[i], Abs):
+                            eta = False  # an argument of arrow type, not abstracted
                     i += 1
                     if i == len(args):
                         break
@@ -390,7 +409,9 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 trace[frame[3]] = TraceEntry(rule, frame[1], ty.order)
         else:
             if not levels:
-                return ty, None, None
+                if redexes is None or (eta and (not ty.arguments or isinstance(term, Abs))):
+                    return ty, None, None
+                return ty, None, [f[4] for f in redexes]
             if inner_failed:
                 level = Level.UNSAFE_TYPABLE
             elif root_failed:
@@ -435,42 +456,98 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
 
     Every subterm of arrow type ends up abstracted and every head fully
     applied, with deterministic fresh binder names (_e1, _e2, ...).
-    Idempotent, and beta-eta equal to the input.
+    Idempotent, and beta-eta equal to the input.  The canonical form of
+    the input is typed once; when it is already eta-long it is returned
+    as it is, so canonical eta-long input comes back as the same object.
     """
     term = canonicalize(term)
-    ctx0 = dict(env)
-    ty = _type_of(ctx0, term)  # surface type errors before rewriting
+    ctx = dict(env)
+    ty, _, heads = _walk(ctx, term, _ETA)  # surface type errors before rewriting
+    if heads is None:
+        return term
+    return _expand(ctx, term, ty, iter(heads), env)
 
-    fresh = fresh_names("_e", set(all_names(term)) | set(env))
 
-    def expand(t: Term, ty: SimpleType, ctx: dict[str, SimpleType]) -> Term:
-        if not ty.arguments:
-            return expand_ground(t, ctx)
-        if isinstance(t, Abs):
-            binders = t.binders
-            body: Term = t.body
+def _expand(
+    ctx: dict[str, SimpleType],
+    term: Term,
+    ty: SimpleType,
+    heads: Iterator[SimpleType],
+    env: TypeEnv,
+) -> Term:
+    """The eta-long form of the canonical `term` of type `ty` in `ctx`.
+
+    One depth-first pass with an explicit stack; `heads` yields the types
+    of the abstractions in head position in the pre-order the pass meets
+    them, as the typing walk noted them.  Each node draws its fresh names
+    before its subterms do, and subterms that need no expansion come back
+    as the same objects.  `ctx` is as it was when this returns.
+    """
+    fresh = None  # the name supply, made when the first name is needed
+    # a frame per node left for later: a tuple (source, binders, shadowed
+    # entries of ctx) for a block waiting for its body, or a list [source
+    # App, its expanded parts so far, the head's argument types]
+    stack: list = []
+    t = term
+    while True:
+        # expand t of type ty down to a ground variable, which is its own form
+        while True:
+            if ty.arguments:
+                binders, body = (t.binders, t.body) if isinstance(t, Abs) else ((), t)
+                wanted = ty.arguments[len(binders):]
+                if wanted:
+                    if fresh is None:
+                        fresh = fresh_names("_e", set(all_names(term)).union(env))
+                    extra = tuple((next(fresh), a) for a in wanted)
+                    body = mk_app(body, tuple(Var(n) for n, _ in extra))
+                    binders += extra
+                stack.append((t, binders, tuple(map(ctx.get, map(_binder_name, binders)))))
+                ctx.update(binders)
+                t = body
+            # t is ground: a variable, or an application to expand head first
+            if isinstance(t, Var):
+                out = t
+                break
+            head = t.head
+            if isinstance(head, Var):
+                stack.append([t, [], ctx[head.name].arguments])
+                out = head
+                break
+            ty = next(heads)
+            stack.append([t, [], ty.arguments])
+            t = head
+
+        # out is the form of the node just expanded: go on with its
+        # siblings, taking ground variable arguments as they are, and
+        # rebuild the nodes it ends
+        while stack:
+            frame = stack[-1]
+            if type(frame) is tuple:
+                src, binders, shadowed = frame
+                for (n, _), old in zip(binders, shadowed):
+                    if old is None:
+                        del ctx[n]
+                    else:
+                        ctx[n] = old
+                if isinstance(src, Abs) and binders is src.binders and out is src.body:
+                    out = src
+                else:
+                    out = Abs(binders, out)
+            else:
+                src, parts, wanted = frame
+                parts.append(out)
+                args = src.args
+                i = len(parts) - 1  # the argument to expand next
+                while i < len(args) and not wanted[i].arguments and isinstance(args[i], Var):
+                    parts.append(args[i])
+                    i += 1
+                if i < len(args):
+                    t, ty = args[i], wanted[i]
+                    break
+                if parts[0] is src.head and all(map(is_, parts[1:], args)):
+                    out = src
+                else:
+                    out = App(parts[0], tuple(parts[1:]))
+            stack.pop()
         else:
-            binders = ()
-            body = t
-        extra = tuple((next(fresh), a) for a in ty.arguments[len(binders):])
-        inner = dict(ctx)
-        inner.update(binders)
-        inner.update(extra)
-        if extra:
-            body = mk_app(body, tuple(Var(n) for n, _ in extra))
-        return Abs(binders + extra, expand_ground(body, inner))
-
-    def expand_ground(t: Term, ctx: dict[str, SimpleType]) -> Term:
-        if isinstance(t, Var):
-            return t
-        assert isinstance(t, App), "ground-typed subterm must be a variable or application"
-        if isinstance(t.head, Var):
-            head_type = ctx[t.head.name]
-            head: Term = t.head
-        else:
-            head_type = _type_of(ctx, t.head)
-            head = expand(t.head, head_type, ctx)
-        new_args = tuple(expand(a, w, ctx) for a, w in zip(t.args, head_type.arguments))
-        return mk_app(head, new_args)
-
-    return expand(term, ty, ctx0)
+            return out

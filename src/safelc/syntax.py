@@ -380,6 +380,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
     the same binders split over two nested blocks.  Binder annotations
     must match exactly.
     """
+    if a is b:
+        return True
 
     def go(a: Term, b: Term, ma: dict[str, int], mb: dict[str, int], depth: int) -> bool:
         if isinstance(a, Var) and isinstance(b, Var):

@@ -44,6 +44,15 @@ terms = st.recursive(
 )
 
 
+def copy_term(term: Term) -> Term:
+    """A structurally equal copy of `term` sharing no node with it."""
+    if isinstance(term, Var):
+        return Var(term.name)
+    if isinstance(term, Abs):
+        return Abs(term.binders, copy_term(term.body))
+    return App(copy_term(term.head), tuple(copy_term(a) for a in term.args))
+
+
 def is_canonical(term: Term) -> bool:
     """No Abs directly under an Abs body, and no App as an App head."""
     for t in subterms(term):

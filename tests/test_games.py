@@ -29,7 +29,7 @@ from safelc.qbf import parse_qbf
 from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import BudgetExceededError, normalize
 from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
-from safelc.syntax import GROUND, Abs, App, alpha_eq, arrow, parse, pretty
+from safelc.syntax import GROUND, Abs, App, Var, alpha_eq, arrow, parse, pretty
 
 from termgen import recursion_limit, terms
 
@@ -253,10 +253,48 @@ def test_normal_form_text(src, text):
 
 def test_normal_form_of_deep_numeral_at_default_recursion_limit():
     numeral = church_nat(600)
-    tree = build_computation_tree({}, numeral)  # tree building still recurses
     with recursion_limit(1_000):
+        tree = build_computation_tree({}, numeral)
         got = traversal_normal_form(tree, 10_000)
     assert alpha_eq(got, eta_long({}, numeral))
+
+
+def test_tree_of_deep_numeral_at_default_recursion_limit():
+    numeral = church_nat(3000)
+    with recursion_limit(1_000):
+        tree = build_computation_tree({}, numeral)
+    assert tree.term is numeral  # already eta-long
+    # the root, then per s its occurrence and the empty lambda below it, then z
+    assert len(tree.nodes) == 2 * 3000 + 2
+
+
+def test_deep_term_expanded_at_default_recursion_limit():
+    # \f:(o->o)->o s:o->o z:o. s (s (... (f s))), 600 deep: only the
+    # innermost s, an argument of f, needs expanding.  The results are
+    # read along their spines, since `==` and `pretty` still recurse.
+    n = 600
+    body = App(Var("f"), (Var("s"),))
+    for _ in range(n):
+        body = App(Var("s"), (body,))
+    binders = (
+        ("f", arrow(arrow(GROUND, GROUND), GROUND)),
+        ("s", arrow(GROUND, GROUND)),
+        ("z", GROUND),
+    )
+    with recursion_limit(1_000):
+        tree = build_computation_tree({}, Abs(binders, body))
+        nf = traversal_normal_form(tree, 10_000)
+    for t in (tree.term, nf):
+        assert [ty for _, ty in t.binders] == [ty for _, ty in binders]
+        f, s, _ = (name for name, _ in t.binders)
+        u = t.body
+        for _ in range(n):
+            assert u.head == Var(s)
+            (u,) = u.args
+        assert u.head == Var(f)
+        (arg,) = u.args
+        assert isinstance(arg, Abs) and [ty for _, ty in arg.binders] == [GROUND]
+        assert arg.body == App(Var(s), (Var(arg.binders[0][0]),))
 
 
 def test_normal_form_church_one_applied_to_itself():

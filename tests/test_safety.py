@@ -9,7 +9,9 @@ import pytest
 from safelc import safety
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import conditional_candidates
-from safelc.hardness import enumerate_qbfs, equality_instance
+from safelc.hardness import enumerate_qbfs, equality_instance, qbf_to_term
+from safelc.qbf import parse_qbf
+from safelc.reduction import Strategy, normalize
 from safelc.safety import (
     ArgumentMismatchError,
     Level,
@@ -30,7 +32,11 @@ from safelc.syntax import (
     Term,
     TypeEnv,
     Var,
+    all_names,
     alpha_eq,
+    canonicalize,
+    fresh_names,
+    mk_app,
     parse,
     parse_env,
     parse_type,
@@ -489,3 +495,122 @@ def test_safety_check_at_default_recursion_limit():
     assert (v.level, v.type) == (Level.SAFE, parse_type("(o->o)->o->o"))
     assert len(v.trace) == 2 * n + 2
     assert v.trace[-1] == TraceEntry("var", "body" + ".arg0" * n, 0)
+
+
+# --------------------------------------------------------------------------
+# eta_long against the recursive expansion
+#
+# `_reference_eta_long` is the expansion `eta_long` replaced, kept
+# verbatim but for typing with `_reference_type_of`: it rebuilds every
+# node and types every abstraction in head position again.  Outputs must
+# be `==` on any input.
+
+
+def _reference_eta_long(env: TypeEnv, term: Term) -> Term:
+    term = canonicalize(term)
+    ctx0 = dict(env)
+    ty = _reference_type_of(ctx0, term)  # surface type errors before rewriting
+
+    fresh = fresh_names("_e", set(all_names(term)) | set(env))
+
+    def expand(t: Term, ty: SimpleType, ctx: dict[str, SimpleType]) -> Term:
+        if not ty.arguments:
+            return expand_ground(t, ctx)
+        if isinstance(t, Abs):
+            binders = t.binders
+            body: Term = t.body
+        else:
+            binders = ()
+            body = t
+        extra = tuple((next(fresh), a) for a in ty.arguments[len(binders):])
+        inner = dict(ctx)
+        inner.update(binders)
+        inner.update(extra)
+        if extra:
+            body = mk_app(body, tuple(Var(n) for n, _ in extra))
+        return Abs(binders + extra, expand_ground(body, inner))
+
+    def expand_ground(t: Term, ctx: dict[str, SimpleType]) -> Term:
+        if isinstance(t, Var):
+            return t
+        assert isinstance(t, App), "ground-typed subterm must be a variable or application"
+        if isinstance(t.head, Var):
+            head_type = ctx[t.head.name]
+            head: Term = t.head
+        else:
+            head_type = _reference_type_of(ctx, t.head)
+            head = expand(t.head, head_type, ctx)
+        new_args = tuple(expand(a, w, ctx) for a, w in zip(t.args, head_type.arguments))
+        return mk_app(head, new_args)
+
+    return expand(term, ty, ctx0)
+
+
+def _assert_eta_long_matches_reference(env: TypeEnv, term: Term):
+    try:
+        want = _reference_eta_long(env, term)
+    except TypeCheckError as e:
+        with pytest.raises(type(e)) as got:
+            eta_long(env, term)
+        assert (got.value.message, got.value.location) == (e.message, e.location)
+        return
+    got = eta_long(env, term)
+    assert got == want
+    if want == term:
+        assert got is term  # eta-long input comes back as it is
+
+
+def _eta_long_populations(top_rung: int):
+    """The hand corpus with its environments, two generated corpora,
+    every 212th criterion-5 left side and the alternating QBF ladder up
+    to `top_rung` quantifiers."""
+    out = [(entry.env, entry.term) for entry in HAND_CORPUS]
+    for seed in (3, 17):
+        out += [({}, t) for t in generate_safe_corpus(300, seed)]
+    for f in itertools.islice(enumerate_qbfs(3, 3), 0, 200 * 212, 212):
+        out.append(({}, equality_instance(f)[0]))
+    for rung in range(2, top_rung + 1):
+        vs = [f"v{i + 1}" for i in range(rung)]
+        prefix = "".join(f"{'exists' if i % 2 else 'forall'} {v}. " for i, v in enumerate(vs))
+        for connective in "|&":
+            out.append(({}, qbf_to_term(parse_qbf(prefix + f" {connective} ".join(vs)))))
+    return out
+
+
+def test_eta_long_matches_reference_on_populations():
+    for env, term in _eta_long_populations(12):
+        _assert_eta_long_matches_reference(env, term)
+
+
+def test_eta_long_matches_reference_on_plain_normal_forms():
+    # rungs 11 and 12 of the ladder exceed the size budget of `normalize`
+    for env, term in _eta_long_populations(10):
+        _assert_eta_long_matches_reference(env, normalize(term, Strategy.PLAIN))
+
+
+@hyp.settings(max_examples=300)
+@hyp.given(terms, st.dictionaries(names, types))
+def test_eta_long_matches_reference_on_raw_terms(t, env):
+    _assert_eta_long_matches_reference(env, t)
+
+
+def test_eta_long_types_nested_redex_heads_once(monkeypatch):
+    # 401 abstractions in head position, h0 = \x:o. g f and h(j+1) =
+    # \x:o. h(j) x, with the innermost argument f to expand: the
+    # recursive expansion typed each head again, 402 walks in all
+    env = parse_env("g:(o->o)->o, f:o->o, z:o")
+    head: Term = Abs((("x", parse_type("o")),), App(Var("g"), (Var("f"),)))
+    for _ in range(400):
+        head = Abs((("x", parse_type("o")),), App(head, (Var("x"),)))
+    term = App(head, (Var("z"),))
+    modes = []
+    walk = safety._walk
+
+    def counted(ctx, t, mode):
+        modes.append(mode)
+        return walk(ctx, t, mode)
+
+    monkeypatch.setattr(safety, "_walk", counted)
+    got = eta_long(env, term)
+    assert modes == [safety._ETA]
+    assert got == _reference_eta_long(env, term)

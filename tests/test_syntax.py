@@ -32,7 +32,7 @@ from safelc.syntax import (
     primed,
     type_text,
 )
-from termgen import is_canonical, recursion_limit, terms
+from termgen import copy_term, is_canonical, recursion_limit, terms
 
 O = GROUND
 OO = SimpleType((O,))
@@ -220,7 +220,7 @@ def test_pretty_parse_round_trip_raw(t):
 
 @hyp.given(terms)
 def test_alpha_eq_reflexive(t):
-    assert alpha_eq(t, t)
+    assert alpha_eq(t, copy_term(t))  # a copy: a term is alpha-equal to itself at once
 
 
 def test_recursion_limit_turns_an_overflow_into_a_short_failure():
@@ -242,6 +242,14 @@ def test_term_measures_at_default_recursion_limit():
     t = Abs((("z", O),), t)
     with recursion_limit(1_000):
         assert (t.size, t.free_names) == (2 * n + 3, frozenset({"s"}))
+
+
+def test_alpha_eq_of_a_term_and_itself_at_default_recursion_limit():
+    # a term is alpha-equal to itself with no walk, as `safelc corpus`
+    # finds when both strategies return an already-normal input as it is
+    t = parse(r"\s:o->o z:o. " + "s (" * 3_000 + "z" + ")" * 3_000)
+    with recursion_limit(1_000):
+        assert alpha_eq(t, t)
 
 
 # --------------------------------------------------------------------------
