@@ -29,7 +29,6 @@ from .encodings import (
 )
 from .games import (
     build_computation_tree,
-    core_indices,
     enumerate_traversals,
     p_view_indices,
     parity,
@@ -404,7 +403,7 @@ def traverse(termfile, env_text, max_length, show_views, as_json):
                     "parity": parity(occ.node),
                 }
             )
-        core = core_indices(t)
+        core = [k for k, flag in enumerate(t.core) if flag]
         lines.append("  core: " + " ".join(str(c) for c in core))
         row = {"maximal": t.maximal, "steps": entry_rows, "core": core}
         if show_views:

@@ -12,12 +12,20 @@ spell out its branches, as the walk reaches them.  `uncover` /
 `reconstruct_p_pointers` probe when the pointers carried by variable
 occurrences are redundant.
 
+A traversal is stored flat, as parallel tuples: its nodes, their
+justifiers (back-indices) and the rules that licensed them, plus the
+core flags the walk computes on the way.  An uncovered play shares the
+node and rule tuples of its traversal and has a justifier tuple of its
+own, so walking, enumerating, uncovering and reconstructing allocate no
+object per occurrence.  The per-step views, `Occurrence` and
+`PlayEntry`, are built only when `occurrences` or `entries` is read.
+
 The root lambda node stands in for the context: free variables answer to
 it, and its order accounts for the types of the free names so that order
 comparisons against it behave as if the context were abstracted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .reduction import BudgetExceededError
@@ -34,6 +42,9 @@ from .syntax import (
     mk_app,
 )
 
+# node kinds, a class constant of each node type
+LAM, APP, VAR = 0, 1, 2
+
 
 @dataclass(eq=False)
 class LambdaNode:
@@ -41,6 +52,8 @@ class LambdaNode:
     order: int
     id: int
     children: tuple["TreeNode", ...] = ()
+
+    kind = LAM
 
     @property
     def label(self) -> str:
@@ -54,6 +67,7 @@ class AppNode:
     id: int
     children: tuple["TreeNode", ...] = ()
 
+    kind = APP
     label = "@"
 
 
@@ -62,9 +76,12 @@ class VarNode:
     name: str
     ty: SimpleType
     binder: Optional[LambdaNode]  # None = free in the source term
+    slot: Optional[int]  # position in the binder's block; None when free
     order: int
     id: int
     children: tuple["TreeNode", ...] = ()
+
+    kind = VAR
 
     @property
     def label(self) -> str:
@@ -99,38 +116,51 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
         + [env[n].order + 1 for n in free]
     )
     nodes: list[TreeNode] = []
-    # lambda nodes still to build: (term, order, scope, the parent's
-    # children, a list until every node is built)
-    todo = [(expanded, root_order, {}, [])]
+    # one scope for the whole build: name -> (binder, slot, type), with a
+    # log of the entries each binding shadowed, undone on the way back up
+    scope: dict[str, tuple[LambdaNode, int, SimpleType]] = {}
+    undo: list[tuple[str, Optional[tuple]]] = []
+    # lambda nodes still to build: (term, order, the log length of their
+    # scope, the parent's children, a list until every node is built)
+    todo = [(expanded, root_order, 0, [])]
     while todo:
-        t, order, scope, siblings = todo.pop()
+        t, order, mark, siblings = todo.pop()
+        while len(undo) > mark:
+            name, shadowed = undo.pop()
+            if shadowed is None:
+                del scope[name]
+            else:
+                scope[name] = shadowed
         while True:
-            binders, body = (t.binders, t.body) if isinstance(t, Abs) else ((), t)
-            lam = LambdaNode(binders=binders, order=order, id=len(nodes))
+            here = len(nodes)
+            binders, body = (t.binders, t.body) if type(t) is Abs else ((), t)
+            lam = LambdaNode(binders, order, here)
+            for slot, (name, bty) in enumerate(binders):
+                undo.append((name, scope.get(name)))
+                scope[name] = (lam, slot, bty)
             siblings.append(lam)
             nodes.append(lam)
-            if binders:
-                scope = dict(scope)
-                scope.update((name, (lam, bty)) for name, bty in binders)
-            head, args = (body, ()) if isinstance(body, Var) else (body.head, body.args)
-            if isinstance(head, Var):
-                binder, vty = scope.get(head.name) or (None, env[head.name])
-                op = VarNode(head.name, vty, binder, vty.order, len(nodes), [])
+            head, args = (body, ()) if type(body) is Var else (body.head, body.args)
+            if type(head) is Var:
+                binder, slot, vty = scope.get(head.name) or (None, None, env[head.name])
+                op = VarNode(head.name, vty, binder, slot, vty.order, here + 1, [])
                 arg_types = vty.arguments
             else:
                 # redex: the operator is an abstraction, kept under an @ node
                 head_ty = SimpleType(tuple(bty for _, bty in head.binders))
-                op = AppNode(order=0, id=len(nodes), children=[])
+                op = AppNode(0, here + 1, [])
                 args, arg_types = (head,) + args, (head_ty,) + head_ty.arguments
             lam.children = (op,)
             nodes.append(op)
             if not args:
                 break
             for k in range(len(args) - 1, 0, -1):
-                todo.append((args[k], arg_types[k].order, scope, op.children))
+                todo.append((args[k], arg_types[k].order, len(undo), op.children))
             t, order, siblings = args[0], arg_types[0].order, op.children
-    for node in nodes:
-        node.children = tuple(node.children)
+    # pre-order puts each lambda right before its one child, so the
+    # variable and @ nodes, whose children are still lists, sit at odd ids
+    for op in nodes[1::2]:
+        op.children = tuple(op.children)
     return ComputationTree(nodes[0], tuple(nodes), expanded, dict(env))
 
 
@@ -146,16 +176,30 @@ class Occurrence(NamedTuple):
 
 @dataclass(frozen=True)
 class Traversal:
-    occurrences: tuple[Occurrence, ...]
+    """A justified sequence of tree nodes, as parallel tuples.
+
+    `core` holds, per position, whether the justification chain never
+    crosses an @ occurrence: the core is the external part of the
+    traversal, which spells a branch of the normal form.  It follows from
+    the nodes and justifiers, so equality and hash leave it out."""
+
+    nodes: tuple[TreeNode, ...]
+    justifiers: tuple[Optional[int], ...]  # back-indices; None only for the root
+    rules: tuple[str, ...]  # which rule licensed each occurrence
+    core: tuple[bool, ...] = field(compare=False, repr=False)
     maximal: bool = True  # False when cut off by the length budget
 
     def __len__(self) -> int:
-        return len(self.occurrences)
+        return len(self.nodes)
+
+    @property
+    def occurrences(self) -> tuple[Occurrence, ...]:
+        return tuple(map(Occurrence, self.nodes, self.justifiers, self.rules))
 
 
 def parity(node: TreeNode) -> str:
     """Lambda occurrences are O-moves, everything else is a P-move."""
-    return "O" if isinstance(node, LambdaNode) else "P"
+    return "O" if node.kind == LAM else "P"
 
 
 def p_view_indices(occurrences) -> list[int]:
@@ -173,7 +217,7 @@ def p_view_indices(occurrences) -> list[int]:
     i = len(occurrences) - 1
     out = [i]
     while occurrences[i].justifier is not None:
-        if isinstance(occurrences[i].node, LambdaNode):
+        if occurrences[i].node.kind == LAM:
             i = occurrences[i].justifier
         else:
             i -= 1
@@ -185,70 +229,92 @@ def p_view_indices(occurrences) -> list[int]:
 def _walk(tree: ComputationTree, max_len: int):
     """Walk every traversal depth first over one shared prefix.
 
-    At each finished traversal yield the live prefix (a list of
-    occurrences), its core flags, whether it is maximal, and how many
-    positions it shares with the traversal yielded before it; the lists
-    are the walk's own and change once the walk resumes.  Children of an
-    input variable are explored in order, so traversals come in the
-    pre-order of the branches they spell.
+    At each finished traversal yield the live prefix as parallel lists
+    (nodes, justifiers, rules and core flags), whether it is maximal, and
+    how many positions it shares with the traversal yielded before it;
+    the lists are the walk's own and change once the walk resumes.
+    Children of an input variable are explored in order, so traversals
+    come in the pre-order of the branches they spell.
 
-    As every P-view is the whole prefix (see `p_view_indices`), a
-    variable's binder is the latest occurrence of its node, kept in a
-    table undone on backtrack, and a variable is an input when the core
-    flag stored as it is appended holds: O(1) amortised per occurrence.
+    Every rule alternates lambda and non-lambda nodes, so lambda
+    occurrences sit at the even positions and each turn of the loop takes
+    one of each.  As every P-view is the whole prefix (see
+    `p_view_indices`), a variable's binder is the latest occurrence of
+    its lambda node, kept in a table undone on backtrack, and a variable
+    is an input when its binder's occurrence is in the core: O(1)
+    amortised per occurrence.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     root = tree.root
-    occs: list[Occurrence] = []
+    last = max_len - 1  # the position at which a traversal is cut
+    nodes: list[TreeNode] = []
+    justs: list[Optional[int]] = []
+    rules: list[str] = []
     core: list[bool] = []  # no @ on the justification chain
-    latest = [-1] * len(tree.nodes)  # node id -> its latest index in occs
-    shadowed: list[int] = []  # the `latest` entry each occurrence replaced
-    pending = [(0, Occurrence(root, None, "root"))]  # (prefix length, next)
+    latest = [-1] * len(tree.nodes)  # lambda node id -> its latest position
+    shadowed: list[int] = []  # per lambda occurrence, the entry it replaced
+    add_node, add_just, add_rule = nodes.append, justs.append, rules.append
+    add_core, add_shadowed = core.append, shadowed.append
+    # branches still to walk, each resuming at a lambda node:
+    # (prefix length, the lambda, its justifier, its rule)
+    pending = [(0, root, None, "root")]
     while pending:
-        depth, occ = pending.pop()
-        while len(occs) > depth:
-            latest[occs.pop().node.id] = shadowed.pop()
-            core.pop()
+        here, lam, j, rule = pending.pop()
+        depth = here
+        for k in range(len(shadowed) - 1, depth // 2 - 1, -1):
+            latest[nodes[2 * k].id] = shadowed[k]
+        del nodes[depth:], justs[depth:], rules[depth:], core[depth:]
+        del shadowed[depth // 2:]
         while True:
-            node, j = occ.node, occ.justifier
-            here = len(occs)
-            occs.append(occ)
-            core.append(not isinstance(node, AppNode) and (j is None or core[j]))
-            shadowed.append(latest[node.id])
-            latest[node.id] = here
-            others = ()
-            if isinstance(node, LambdaNode):
-                child = node.children[0]
-                if isinstance(child, AppNode):
-                    occ = Occurrence(child, here, "lam")
-                else:
-                    at = latest[(child.binder or root).id]
-                    if at < 0:
-                        raise ValueError(f"binder of {child.name} missing from the view")
-                    occ = Occurrence(child, at, "lam")
-            elif isinstance(node, AppNode):
-                occ = Occurrence(node.children[0], here, "app")
-            elif core[here]:
-                # an input: the environment may answer with any argument
-                if not node.children:
-                    yield occs, core, True, depth
-                    break
-                occ = Occurrence(node.children[0], here, "ivar")
-                others = node.children[1:]
-            else:
-                # internal variable: the next node is the argument standing
-                # for it, found under the occurrence its binder points back to
-                parent = occs[occs[j].justifier].node
-                index = node.binder.binders.index((node.name, node.ty))
-                if isinstance(parent, AppNode):
-                    index += 1
-                occ = Occurrence(parent.children[index], here, "var")
-            if here + 1 >= max_len:
-                yield occs, core, False, depth
+            # the O move: a lambda, justified by the occurrence before it
+            add_node(lam)
+            add_just(j)
+            add_rule(rule)
+            add_core(j is None or core[j])
+            add_shadowed(latest[lam.id])
+            latest[lam.id] = here
+            if here == last:
+                yield nodes, justs, rules, core, False, depth
                 break
-            if others:
-                pending.extend((here + 1, Occurrence(c, here, "ivar")) for c in reversed(others))
+            # the P move: the lambda's child
+            node = lam.children[0]
+            here += 1
+            add_node(node)
+            add_rule("lam")
+            if node.kind == APP:
+                add_just(here - 1)
+                add_core(False)
+                lam, j, rule = node.children[0], here, "app"
+            else:
+                j = latest[(node.binder or root).id]
+                if j < 0:
+                    raise ValueError(f"binder of {node.name} missing from the view")
+                add_just(j)
+                if core[j]:
+                    # an input: the environment may answer with any argument
+                    add_core(True)
+                    children = node.children
+                    if not children:
+                        yield nodes, justs, rules, core, True, depth
+                        break
+                    if len(children) > 1 and here != last:
+                        pending.extend(
+                            (here + 1, c, here, "ivar") for c in reversed(children[1:])
+                        )
+                    lam, j, rule = children[0], here, "ivar"
+                else:
+                    # internal variable: the next lambda is the argument
+                    # standing for it, found under the occurrence its binder
+                    # points back to
+                    add_core(False)
+                    parent = nodes[justs[j]]
+                    lam = parent.children[node.slot + (parent.kind == APP)]
+                    j, rule = here, "var"
+            if here == last:
+                yield nodes, justs, rules, core, False, depth
+                break
+            here += 1
 
 
 def enumerate_traversals(
@@ -259,33 +325,16 @@ def enumerate_traversals(
     walk finds them.  Traversals that could still grow at max_len come
     back with maximal=False.
 
-    One depth-first walk (`_walk`) finds them; each is copied into a
-    tuple as it finishes, and a stable sort by length restores the
+    One depth-first walk (`_walk`) finds them; each is copied into
+    tuples as it finishes, and a stable sort by length restores the
     canonical order.
     """
     done = [
-        Traversal(tuple(occs), maximal)
-        for occs, _, maximal, _ in _walk(tree, max_len)
+        Traversal(tuple(nodes), tuple(justs), tuple(rules), tuple(core), maximal)
+        for nodes, justs, rules, core, maximal, _ in _walk(tree, max_len)
     ]
     done.sort(key=len)
     return tuple(done)
-
-
-def core_indices(t: Traversal) -> list[int]:
-    """Positions whose justification chain never crosses an @ occurrence.
-
-    The core is the external part of the traversal: it spells a branch of
-    the normal form, pointers staying within the core."""
-    keep: list[bool] = []
-    out: list[int] = []
-    for i, occ in enumerate(t.occurrences):
-        ok = not isinstance(occ.node, AppNode) and (
-            occ.justifier is None or keep[occ.justifier]
-        )
-        keep.append(ok)
-        if ok:
-            out.append(i)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -301,11 +350,22 @@ class PlayEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class UncoveredPlay:
-    entries: tuple[PlayEntry, ...]
+    """A traversal with the justifiers of its P moves erased."""
+
+    nodes: tuple[TreeNode, ...]
+    justifiers: tuple[Optional[int], ...]  # None on P moves
+    rules: tuple[str, ...]
     maximal: bool = True
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nodes)
+
+    @property
+    def entries(self) -> tuple[PlayEntry, ...]:
+        return tuple(
+            PlayEntry(node, j, parity(node), rule)
+            for node, j, rule in zip(self.nodes, self.justifiers, self.rules)
+        )
 
 
 class ReconstructionError(Exception):
@@ -315,15 +375,10 @@ class ReconstructionError(Exception):
 
 
 def uncover(t: Traversal) -> UncoveredPlay:
-    """Erase the justifiers of P occurrences, keeping O justifiers and
-    recording each occurrence's parity.  Length is preserved."""
-    entries = []
-    for occ in t.occurrences:
-        p = parity(occ.node)
-        entries.append(
-            PlayEntry(occ.node, occ.justifier if p == "O" else None, p, occ.rule)
-        )
-    return UncoveredPlay(tuple(entries), t.maximal)
+    """Erase the justifiers of P occurrences, keeping O justifiers.
+    Length is preserved, and the node and rule tuples are shared."""
+    erased = [j if node.kind == LAM else None for node, j in zip(t.nodes, t.justifiers)]
+    return UncoveredPlay(t.nodes, tuple(erased), t.rules, t.maximal)
 
 
 def reconstruct_p_pointers(
@@ -343,46 +398,48 @@ def reconstruct_p_pointers(
     A play must start at the root and every O pointer must name the
     position just before it, as in every uncovered traversal, or
     ReconstructionError is raised.  The P-view is then the whole prefix,
-    so tables of the latest occurrence per node and of the latest core
+    so tables of the latest occurrence per lambda node and of the latest core
     lambda per order answer both lookups.
     """
     root = tree.root
-    if play.entries and play.entries[0].node is not root:
+    nodes = play.nodes
+    if nodes and nodes[0] is not root:
         raise ReconstructionError(0, "the play does not start at the root")
-    occs: list[Occurrence] = []
+    justs: list[Optional[int]] = []
     core: list[bool] = []
-    latest = [-1] * len(tree.nodes)  # node id -> its latest index
-    top: list[int] = []  # order -> index of the latest core lambda of it
-    for i, entry in enumerate(play.entries):
-        node = entry.node
-        if isinstance(node, LambdaNode):
-            j = entry.justifier
+    latest = [-1] * len(tree.nodes)  # lambda node id -> its latest position
+    top: list[int] = []  # order -> position of the latest core lambda of it
+    add_just, add_core = justs.append, core.append
+    for i, (node, j) in enumerate(zip(nodes, play.justifiers)):
+        kind = node.kind
+        if kind == LAM:
             if j != (i - 1 if i else None):
                 raise ReconstructionError(
                     i, f"O pointer {j} is not the previous position"
                 )
-        elif isinstance(node, AppNode):
-            j = i - 1
+            is_core = j is None or core[j]
+            latest[node.id] = i
+            if is_core:
+                if node.order >= len(top):
+                    top.extend([-1] * (node.order + 1 - len(top)))
+                top[node.order] = i
+        elif kind == APP:
+            j, is_core = i - 1, False
         else:
             j = latest[(node.binder or root).id]
             if j < 0:
                 raise ReconstructionError(i, f"binder of {node.name} not in the view")
-            if core[j]:  # otherwise hidden: no choice to reconstruct
+            is_core = core[j]
+            if is_core:  # otherwise hidden: no choice to reconstruct
                 j = max(top[node.order + 1:], default=-1)
                 if j < 0:
                     raise ReconstructionError(
                         i,
                         f"no pending lambda of order above {node.order} for {node.name}",
                     )
-        occs.append(Occurrence(node, j, entry.rule))
-        core.append(
-            not isinstance(node, AppNode) and (j is None or core[j])
-        )
-        latest[node.id] = i
-        if core[i] and isinstance(node, LambdaNode):
-            top.extend([-1] * (node.order + 1 - len(top)))
-            top[node.order] = i
-    return Traversal(tuple(occs), play.maximal)
+        add_just(j)
+        add_core(is_core)
+    return Traversal(nodes, tuple(justs), play.rules, tuple(core), play.maximal)
 
 
 # --------------------------------------------------------------------------
@@ -418,26 +475,24 @@ def traversal_normal_form(tree: ComputationTree, budget: int = 200) -> Term:
                 frames[-1][3].append(term)
         return term
 
-    for occs, core, maximal, shared in _walk(tree, budget):
+    for nodes, justs, _, core, maximal, shared in _walk(tree, budget):
         if not maximal:
             cut += 1
         if cut:
             continue  # keep walking only to count the cut traversals
         close_from(shared)
-        for i in range(shared, len(occs)):
+        for i in range(shared, len(nodes)):
             if not core[i]:
                 continue
-            node = occs[i].node
-            if isinstance(node, LambdaNode):
+            node = nodes[i]
+            if node.kind == LAM:
                 renamed = tuple((next(fresh), bty) for _, bty in node.binders)
                 frame_at[i] = [i, renamed, None, []]
                 frames.append(frame_at[i])
             elif node.binder is None:
                 frames[-1][2] = node.name
             else:
-                block = [n for n, _ in node.binder.binders]
-                binders = frame_at[occs[i].justifier][1]
-                frames[-1][2] = binders[block.index(node.name)][0]
+                frames[-1][2] = frame_at[justs[i]][1][node.slot][0]
     if cut:
         raise BudgetExceededError(
             budget, cut, f"{cut} traversal(s) still extendable at length {budget}"

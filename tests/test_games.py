@@ -16,7 +16,6 @@ from safelc.games import (
     UncoveredPlay,
     VarNode,
     build_computation_tree,
-    core_indices,
     enumerate_traversals,
     p_view_indices,
     parity,
@@ -50,6 +49,54 @@ def tree_of(src, env=None):
 
 def shape(traversal):
     return [(o.node.id, o.justifier, o.rule) for o in traversal.occurrences]
+
+
+def core_indices(occurrences):
+    """Positions whose justification chain never crosses an @ occurrence,
+    recomputed from the occurrences: the reference for `Traversal.core`."""
+    keep: list[bool] = []
+    out: list[int] = []
+    for i, occ in enumerate(occurrences):
+        ok = not isinstance(occ.node, AppNode) and (
+            occ.justifier is None or keep[occ.justifier]
+        )
+        keep.append(ok)
+        if ok:
+            out.append(i)
+    return out
+
+
+def traversal_of(occurrences, maximal=True):
+    """A Traversal built from its occurrences, with reference core flags."""
+    core = set(core_indices(occurrences))
+    return Traversal(
+        tuple(o.node for o in occurrences),
+        tuple(o.justifier for o in occurrences),
+        tuple(o.rule for o in occurrences),
+        tuple(i in core for i in range(len(occurrences))),
+        maximal,
+    )
+
+
+def play_of(entries, maximal=True):
+    """An UncoveredPlay built from its entries; parity follows the node."""
+    return UncoveredPlay(
+        tuple(e.node for e in entries),
+        tuple(e.justifier for e in entries),
+        tuple(e.rule for e in entries),
+        maximal,
+    )
+
+
+def reference_uncover_entries(traversal):
+    """The play entries of `uncover`, built one per occurrence."""
+    entries = []
+    for occ in traversal.occurrences:
+        p = "O" if isinstance(occ.node, LambdaNode) else "P"
+        entries.append(
+            PlayEntry(occ.node, occ.justifier if p == "O" else None, p, occ.rule)
+        )
+    return tuple(entries)
 
 
 def the_traversal(tree):
@@ -113,6 +160,36 @@ def test_alternation_and_arity_invariants():
                 assert len(node.children) == len(node.ty.arguments)
 
 
+def test_binders_resolved_in_deep_and_shadowed_scopes():
+    # \f:(o->o)->o. f (\x0:o. f (\x1:o. ... x<d-1>)), every name bound once
+    d = 10_000
+    body = Var(f"x{d - 1}")
+    for k in range(d - 1, -1, -1):
+        body = App(Var("f"), (Abs(((f"x{k}", GROUND),), body),))
+    term = Abs((("f", arrow(arrow(GROUND, GROUND), GROUND)),), body)
+    with recursion_limit(1_000):
+        tree = build_computation_tree({}, term)
+    binding = {
+        name: node
+        for node in tree.nodes
+        if isinstance(node, LambdaNode)
+        for name, _ in node.binders
+    }
+    variables = [n for n in tree.nodes if isinstance(n, VarNode)]
+    assert len(variables) == d + 1
+    for node in variables:
+        assert node.binder is binding[node.name]
+        assert node.binder.binders[node.slot] == (node.name, node.ty)
+    # the inner \x shadows the root's x only inside the redex
+    t = tree_of(r"\f:o->o->o x:o. f ((\x:o. x) x) x")
+    assert [(n.name, n.binder.id, n.slot) for n in t.nodes if isinstance(n, VarNode)] == [
+        ("f", 0, 0),
+        ("x", 4, 0),
+        ("x", 0, 1),
+        ("x", 0, 1),
+    ]
+
+
 def test_root_order_covers_the_context():
     # the root stands for the context lambda, so free names raise its order
     assert tree_of(r"(\x:o. x) y", Y).root.order == 1
@@ -146,7 +223,7 @@ def test_redex_traversal():
         (4, 3, "var"),
         (5, 0, "lam"),
     ]
-    assert core_indices(tr) == [0, 5]
+    assert core_indices(tr.occurrences) == [0, 5]
 
 
 def test_block_redex_traversal():
@@ -167,7 +244,7 @@ def test_block_redex_traversal():
         (6, 9, "var"),
         (7, 0, "lam"),
     ]
-    assert core_indices(tr) == [0, 5, 6, 11]
+    assert core_indices(tr.occurrences) == [0, 5, 6, 11]
 
 
 def test_traversals_of_normal_form_are_its_branches():
@@ -176,7 +253,7 @@ def test_traversals_of_normal_form_are_its_branches():
     assert len(traversals) == 2
     spelled = []
     for tr in traversals:
-        assert core_indices(tr) == list(range(len(tr)))  # no @ anywhere
+        assert core_indices(tr.occurrences) == list(range(len(tr)))  # no @ anywhere
         spelled.append([o.node.label for o in tr.occurrences])
     assert spelled == [
         ["\\f x y", "f", "\\", "x"],
@@ -331,7 +408,7 @@ def test_uncover_erases_exactly_p_pointers():
 
 
 def test_uncover_empty_traversal():
-    assert len(uncover(Traversal((), maximal=True))) == 0
+    assert len(uncover(traversal_of(()))) == 0
 
 
 def test_safe_round_trips():
@@ -381,13 +458,13 @@ def test_order4_witness_and_safe_controls():
 def test_reconstruction_error_on_malformed_play():
     t = tree_of(r"\x:o. x")
     x_node = t.nodes[1]
-    stray = UncoveredPlay((PlayEntry(x_node, None, "P", "lam"),))
+    stray = play_of((PlayEntry(x_node, None, "P", "lam"),))
     with pytest.raises(ReconstructionError):
         reconstruct_p_pointers(stray, t)
     # an @ entry at position 0 would answer position -1
     t = tree_of(r"(\x:o. x) y", Y)
     app = next(n for n in t.nodes if isinstance(n, AppNode))
-    stray = UncoveredPlay((PlayEntry(app, None, parity(app), "lam"),))
+    stray = play_of((PlayEntry(app, None, parity(app), "lam"),))
     with pytest.raises(ReconstructionError) as err:
         reconstruct_p_pointers(stray, t)
     assert err.value.position == 0
@@ -409,7 +486,7 @@ def test_reconstruction_rejects_o_pointer_off_the_previous_position():
     assert entries[6].justifier == 5
     entries[6] = entries[6]._replace(justifier=0)
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_p_pointers(UncoveredPlay(tuple(entries)), t)
+        reconstruct_p_pointers(play_of(entries), t)
     assert err.value.position == 6
 
 
@@ -435,7 +512,7 @@ def reference_traversals(tree, max_len):
             return [Occurrence(child, j, "lam")]
         if isinstance(node, AppNode):
             return [Occurrence(node.children[0], here, "app")]
-        if here in core_indices(Traversal(occs)):  # an input variable
+        if here in core_indices(occs):  # an input variable
             return [Occurrence(c, here, "ivar") for c in node.children]
         b = occs[here].justifier
         parent = occs[occs[b].justifier].node
@@ -447,7 +524,7 @@ def reference_traversals(tree, max_len):
         occs = frontier.popleft()
         exts = extensions(occs)
         if not exts or len(occs) >= max_len:
-            done.append(Traversal(occs, maximal=not exts))
+            done.append(traversal_of(occs, maximal=not exts))
         else:
             frontier.extend(occs + (e,) for e in exts)
     return tuple(done)
@@ -464,7 +541,7 @@ def reference_reconstruct(play, tree):
             view = p_view_indices(occs)[::-1]
             target = node.binder or tree.root
             j = next(k for k in view if occs[k].node is target)
-            core = set(core_indices(Traversal(tuple(occs))))
+            core = set(core_indices(occs))
             if j in core:
                 j = next(
                     k
@@ -474,7 +551,7 @@ def reference_reconstruct(play, tree):
                     and occs[k].node.order > node.order
                 )
         occs.append(Occurrence(node, j, e.rule))
-    return Traversal(tuple(occs), play.maximal)
+    return traversal_of(occs, play.maximal)
 
 
 def outcome(fn, *args):
@@ -484,21 +561,31 @@ def outcome(fn, *args):
         return "no pointer"
 
 
-def assert_matches_reference(tree, lengths=(1, 3, 7, 40)):
+def assert_flat_form_matches(t):
+    """The flat tuples against the per-occurrence views built from them."""
+    assert traversal_of(t.occurrences, t.maximal) == t
+    assert [i for i, flag in enumerate(t.core) if flag] == core_indices(t.occurrences)
+
+
+def assert_matches_reference(tree, lengths=(1, 3, 7, 40, 200)):
     for max_len in lengths:
         got = enumerate_traversals(tree, max_len)
         assert got == reference_traversals(tree, max_len)
         for t in got:
+            assert_flat_form_matches(t)
             play = uncover(t)
-            assert outcome(reconstruct_p_pointers, play, tree) == outcome(
-                reference_reconstruct, play, tree
-            )
+            assert play.entries == reference_uncover_entries(t)
+            assert play_of(play.entries, play.maximal) == play
+            back = outcome(reconstruct_p_pointers, play, tree)
+            assert back == outcome(reference_reconstruct, play, tree)
+            if isinstance(back, Traversal):
+                assert_flat_form_matches(back)
 
 
 def test_engine_matches_reference_on_hand_corpus():
     for e in HAND_CORPUS:
         if e.level is not Level.ILL_TYPED:
-            assert_matches_reference(build_computation_tree(e.env, e.term), (1, 3, 7, 40, 200))
+            assert_matches_reference(build_computation_tree(e.env, e.term))
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -519,7 +606,7 @@ def test_engine_matches_reference_on_closed_typed_terms(raw):
     assert_matches_reference(build_computation_tree({}, term))
 
 
-@pytest.mark.parametrize("rung", [10, 12])
+@pytest.mark.parametrize("rung", [10, 12, 16, 20])
 @pytest.mark.parametrize("connective", ["|", "&"])
 def test_traversal_decides_the_alternating_ladder(rung, connective):
     names = [f"v{i + 1}" for i in range(rung)]
@@ -528,8 +615,8 @@ def test_traversal_decides_the_alternating_ladder(rung, connective):
     )
     f = parse_qbf(quantifiers + f" {connective} ".join(names))
     t = build_computation_tree({}, qbf_to_term(f))
-    traversals = enumerate_traversals(t, max_len=100_000)
+    traversals = enumerate_traversals(t, max_len=1_000_000)
     assert all(tr.maximal for tr in traversals)
     assert all(reconstruct_p_pointers(uncover(tr), t) == tr for tr in traversals)
     want = eta_long({}, CHURCH_TRUE if eval_qbf(f) else CHURCH_FALSE)
-    assert alpha_eq(traversal_normal_form(t, budget=100_000), want)
+    assert alpha_eq(traversal_normal_form(t, budget=1_000_000), want)
