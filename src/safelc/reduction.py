@@ -36,6 +36,22 @@ to its left is still normal, so a search from the root would come back to
 the same place.  No normal subterm is walked twice, the term size is kept
 up to date by differences, and `normalize` builds no intermediate term.
 
+`normalize` under the plain strategy also takes a redex block
+(\x1..xn. M) N1..Nk in one walk where it can: the j = min(n, k) steps
+that peel its binders one by one become the one simultaneous no-rename
+substitution of the safe contraction, counted as j steps.  The names of a
+block are distinct, so the two agree when no step would rename: the walk
+captures nothing, and no Ni whose xi is free in M has a later binder of
+the block free, so no step substitutes into an argument an earlier one
+put in place.  A canonical body only grows under substitution, so no
+term on the way is larger than (\x2..xn. M') N2..Nk with the whole
+substituted body M' in place; the size budget is checked against that.
+The block is stepped instead when the input is not canonical, when M is
+one of x1..x(j-1) (an argument then regroups the block mid-way), or when
+a budget could run out inside it.  So results, step counts and budget
+errors are those of one binder per step, which `beta_step`,
+`reduction_sequence` and the traced CLI keep showing.
+
 Equality does not step.  `beta_eta_equal` evaluates both terms into
 closures and reads back their eta-long normal forms from the common type
 (normalization by evaluation), so no substitution, renaming or separate
@@ -57,6 +73,7 @@ from .syntax import (
     Term,
     TypeEnv,
     Var,
+    _is_canonical,
     mk_abs,
     mk_app,
     primed,
@@ -231,6 +248,31 @@ def _contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
     return mk_app(mk_abs(remaining, body), args[j:])
 
 
+def _contract_plain_block(head: Abs, args: tuple[Term, ...], j: int, room: int) -> Optional[Term]:
+    """The term j one-binder plain steps make of `head args`, in one walk.
+
+    The redex is canonical, (\\x1..xn. M) N1..Nk with 2 <= j <= min(n, k).
+    None when the steps might differ from one simultaneous no-rename
+    substitution, or when a term on the way might outgrow `room`, the
+    nodes the size budget has left.  The module docstring says why.
+    """
+    names = head.binder_names
+    body = head.body
+    # an argument standing as the body mid-block would regroup the block
+    if type(body) is Var and body.name in names[: j - 1]:
+        return None
+    # no step renames a later binder or substitutes into an earlier argument
+    free = body.free_names
+    for i in range(min(j, len(names) - 1)):
+        if names[i] in free and not args[i].free_names.isdisjoint(names[i + 1 :]):
+            return None
+    new, captured = subst_no_rename(body, dict(zip(names[:j], args)))
+    # the largest term on the way is at most (\x2..xn. new) N2..Nk
+    if captured or new.size - body.size - 1 - args[0].size > room:
+        return None
+    return mk_app(mk_abs(head.binders[j:], new), args[j:])
+
+
 def _contraction(strategy: "Strategy | str"):
     if _coerce_strategy(strategy) is Strategy.PLAIN:
         return _contract_plain
@@ -291,11 +333,25 @@ class _Reducer:
     first contraction, from the contractum and the context around it, and
     again after a walk restarts from the root.  Without a budget nothing
     is metered.
+
+    With `blocks`, a budget and canonical input, a plain redex block is
+    contracted by `_contract_plain_block` when that gives what its steps
+    one by one would, and counts as that many steps.  Canonical input
+    keeps every term on the way canonical and `nested` at 0; it is
+    checked at the first block, so input with none pays nothing.
     """
 
-    __slots__ = ("contract", "budget", "stack", "focus", "nested", "steps", "size")
+    __slots__ = (
+        "contract", "budget", "stack", "focus", "nested", "steps", "size", "start", "blocks"
+    )
 
-    def __init__(self, term: Term, contract, budget: Optional[ReductionBudget]):
+    def __init__(
+        self,
+        term: Term,
+        contract,
+        budget: Optional[ReductionBudget],
+        blocks: bool = False,
+    ):
         self.contract = contract
         self.budget = budget
         self.stack: list = []  # frames [kind, node, argument index, new arguments]
@@ -303,6 +359,9 @@ class _Reducer:
         self.nested = 0  # _HEAD and _NESTED_BODY frames on the stack
         self.steps = 0
         self.size: Optional[int] = None
+        self.start = term
+        # None until the input has been checked to be canonical
+        self.blocks: Optional[bool] = None if blocks and budget is not None else False
 
     def term(self) -> Term:
         return _plug(self.stack, self.focus)
@@ -370,9 +429,21 @@ class _Reducer:
                 self.focus = focus
                 return False
 
-        new = self.contract(focus.head, focus.args)
+        head, args = focus.head, focus.args
         budget = self.budget
         size = self.size
+        new = None
+        j = min(len(head.binders), len(args))
+        if self.blocks is not False and j > 1 and self.steps + j <= budget.max_steps:
+            if self.blocks is None:
+                self.blocks = _is_canonical(self.start)
+            if self.blocks:
+                if size is None:
+                    size = _context_size(stack) + focus.size
+                new = _contract_plain_block(head, args, j, budget.max_term_size - size)
+        if new is None:
+            new = self.contract(head, args)
+            j = 1
         if budget is not None and self.steps >= budget.max_steps:
             # max_steps >= 1, so an earlier contraction has set the size
             raise BudgetExceededError(
@@ -381,7 +452,7 @@ class _Reducer:
                 f"no normal form within {budget.max_steps} steps "
                 f"(current term size {size})",
             )
-        self.steps += 1
+        self.steps += j
         if nested:
             # the rebuild reshapes the path: walk again from the new root
             new = _plug(stack, new)
@@ -458,7 +529,8 @@ def _normalize_counted(
     budget: ReductionBudget = DEFAULT_BUDGET,
 ) -> tuple[Term, int]:
     """The normal form and the number of steps taken to reach it."""
-    reducer = _Reducer(term, _contraction(strategy), budget)
+    plain = _coerce_strategy(strategy) is Strategy.PLAIN
+    reducer = _Reducer(term, _contraction(strategy), budget, blocks=plain)
     while reducer.step():
         pass
     return reducer.focus, reducer.steps
@@ -474,7 +546,10 @@ def normalize(
     Both strategies reach the same normal form up to alpha equivalence;
     the safe strategy additionally expects a term inside the safety
     discipline and raises CaptureViolation when that trust is betrayed.
-    No intermediate term is built.
+    No intermediate term is built.  Under the plain strategy a redex
+    block whose one-binder steps would rename nothing is contracted in
+    one substitution walk, with the same result, step count and budget
+    errors as those steps (see the module docstring).
     """
     return _normalize_counted(term, strategy, budget)[0]
 

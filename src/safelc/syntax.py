@@ -311,16 +311,27 @@ def canonicalize(term: Term) -> Term:
     in an Abs body, no App as an App head) is returned as it is, after
     one pass that rebuilds nothing.
     """
-    for t in subterms(term):
-        if isinstance(t, Abs):
-            if isinstance(t.body, Abs):
-                return _regroup(term)
-        elif isinstance(t, App):
-            if isinstance(t.head, App):
-                return _regroup(term)
-        elif not isinstance(t, Var):
+    return term if _is_canonical(term) else _regroup(term)
+
+
+def _is_canonical(term: Term) -> bool:
+    """No Abs directly in an Abs body and no App as an App head."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            if type(t.head) is App:
+                return False
+            stack.append(t.head)
+            stack.extend(t.args)
+        elif kind is Abs:
+            if type(t.body) is Abs:
+                return False
+            stack.append(t.body)
+        elif kind is not Var:
             raise TypeError(f"not a term: {t!r}")
-    return term
+    return True
 
 
 def _regroup(term: Term) -> Term:

@@ -41,6 +41,7 @@ from safelc.hardness import enumerate_qbfs, equality_instance
 from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import (
     Strategy,
+    _normalize_counted,
     beta_eta_equal,
     normalize,
     reduction_sequence,
@@ -132,6 +133,24 @@ def test_criterion_3_polynomials_compute_exactly():
     for term, verdict in candidates:
         assert verdict.level is not Level.SAFE
         assert safety_check({}, term).level is verdict.level
+
+
+def test_criterion_3_block_contraction_matches_one_binder_steps():
+    """Plain normalization contracts a redex block in one walk where that
+    is exact; on every 10th (polynomial, point) pair its normal form and
+    step count must be those of the one-binder reduction sequence."""
+    pairs = [
+        (term, point)
+        for p in _polynomial_population()
+        for term in [compile_polynomial(p)]
+        for point in itertools.product(range(4), repeat=len(p.variables))
+    ]
+    for term, point in pairs[::10]:
+        applied = mk_app(term, tuple(church_nat(n) for n in point))
+        steps = -1
+        for last in reduction_sequence(applied, Strategy.PLAIN):
+            steps += 1
+        assert _normalize_counted(applied, Strategy.PLAIN) == (last, steps)
 
 
 WORD_CATALOGUE = (

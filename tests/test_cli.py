@@ -154,6 +154,26 @@ def test_normalize_capture_flag_exits_four(runner, lamfile):
     assert "capture" in json.loads(r2.output)["error"]
 
 
+def test_normalize_plain_same_with_and_without_trace(runner, lamfile):
+    # the first of the two steps renames y: untraced plain normalization
+    # must take them one at a time and count both
+    path = lamfile("rename.lam", r"\f:o->o->o y:o b:o. (\x:o y:o. f x y) y b")
+    args = ["normalize", path, "--strategy", "plain"]
+    text, traced = invoke(runner, args), invoke(runner, args + ["--trace"])
+    assert text.output == "\\f:o->o->o y:o b:o. f y b\n"
+    assert traced.output.splitlines() == [
+        r"[0] \f:o->o->o y:o b:o. (\x:o y:o. f x y) y b",
+        r"[1] \f:o->o->o y:o b:o. (\y'1:o. f y y'1) b",
+        r"[2] \f:o->o->o y:o b:o. f y b",
+        r"\f:o->o->o y:o b:o. f y b",
+    ]
+    data = json.loads(invoke(runner, args + ["--json"]).output)
+    traced_data = json.loads(invoke(runner, args + ["--trace", "--json"]).output)
+    assert data == {"normal_form": r"\f:o->o->o y:o b:o. f y b", "steps": 2}
+    assert traced_data.pop("chain") == [line[4:] for line in traced.output.splitlines()[:-1]]
+    assert traced_data == data
+
+
 def test_normalize_same_term_both_strategies(runner, lamfile):
     path = lamfile("block.lam", r"\a:o g:o->o. (\x:o f:o->o. f x) a g")
     plain = invoke(runner, ["normalize", path, "--strategy", "plain"])

@@ -588,6 +588,145 @@ def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
 
 
 # --------------------------------------------------------------------------
+# plain block contraction against one binder per step
+#
+# `_normalize_counted` contracts a plain redex block in one no-rename walk
+# when that provably gives what its one-binder steps give.  Each case below
+# is one where it must not, or where a budget cuts the block, and the
+# result, step count and error must still be those of `_reference_sequence`.
+
+RENAME_WITNESS = parse(r"\f:o->o->o y:o b:o. (\x:o y:o. f x y) y b")
+
+
+@pytest.fixture
+def single_steps(monkeypatch):
+    """The one-binder contractions made since the fixture was set up."""
+    calls = []
+
+    def counted(head, args):
+        calls.append(head)
+        return _contract_plain(head, args)
+
+    monkeypatch.setattr("safelc.reduction._contract_plain", counted)
+    return calls
+
+
+def test_block_falls_back_where_a_step_renames(single_steps):
+    # the first step substitutes y under the block's own y: it is renamed
+    assert _normalize_counted(RENAME_WITNESS)[1] == 2
+    assert len(single_steps) == 2
+    chain = list(_reference_sequence(RENAME_WITNESS, Strategy.PLAIN))
+    assert chain[1] == parse(r"\f:o->o->o y:o b:o. (\y'1:o. f y y'1) b")
+    assert chain[2] == parse(r"\f:o->o->o y:o b:o. f y b")
+    _assert_driver_matches_reference(RENAME_WITNESS)
+    # here an inner binder of the body is renamed instead
+    t = parse(r"(\x:o y:o. f (\z:o. x) y) z b")
+    assert normalize(t) == parse(r"f (\z'1:o. z) b")
+    _assert_driver_matches_reference(t)
+
+
+def test_block_whose_body_is_a_binder_bound_to_an_abstraction():
+    # the argument for x becomes the body mid-block and merges with the
+    # binders left, one of which it shadows
+    for text in (
+        r"(\x:o->o y:o. x) (\y:o. y) b",
+        r"(\x:o->o y:o. x) (\u:o. u) a b",
+        r"\a:o. (\x:o->o y:o z:o. x) (\z:o. a) a",
+        r"(\x:o y:o z:o. y) a (\y:o w:o. y) c d",
+        # the merge renames the shadowed b, avoiding the b'1 still in the block
+        r"(\a:o->o b'1:o b:o. a) (\b:o. b) c",
+    ):
+        _assert_driver_matches_reference(parse(text))
+
+
+def test_block_not_taken_on_non_canonical_input():
+    # the first step regroups \u. \v. around x's argument; one walk would
+    # regroup after y's argument is in place, flattening (h c) d as well
+    t = parse(r"(\x:o y:o. f (\u:o. \v:o. g x y)) a ((h c) d)", canonical=False)
+    _assert_driver_matches_reference(t)
+    assert normalize(t) == App(Var("f"), (parse(r"\u:o v:o. g a ((h c) d)", canonical=False),))
+
+
+def test_block_size_cut_crossed_only_mid_block():
+    # sizes 7, 5, 1: the final term fits a budget of 4 and the step before
+    # it does not
+    t = parse(r"(\x:o y:o. y) a b")
+    cut = ReductionBudget(max_term_size=4)
+    with pytest.raises(BudgetExceededError) as e:
+        _normalize_counted(t, Strategy.PLAIN, cut)
+    assert (e.value.steps, e.value.size) == (1, 5)
+    _assert_driver_matches_reference(t, cut)
+    # copies of an argument grow the body, then the block is used up
+    grow = parse(r"\f:o->o->o->o. (\x:o->o y:o z:o. f (x y) (x y) z) (\u:o. f u u u) a b")
+    for m in range(1, normalize(grow).size + 12):
+        _assert_driver_matches_reference(grow, ReductionBudget(max_term_size=m))
+
+
+def test_block_step_cut_inside_a_block(single_steps):
+    t = parse(r"(\x:o y:o z:o. f x y z) a b c")
+    assert _normalize_counted(t, Strategy.PLAIN, ReductionBudget(max_steps=3))[1] == 3
+    assert single_steps == []
+    for k in (1, 2):
+        _assert_driver_matches_reference(t, ReductionBudget(max_steps=k))
+
+
+def test_fully_applied_block_takes_no_single_step(single_steps):
+    t = parse(r"(\x:o y:o z:o. f x (g y) z z) a (h b) c")
+    assert _normalize_counted(t, Strategy.PLAIN) == (parse("f a (g (h b)) c c"), 3)
+    assert single_steps == []
+    _assert_driver_matches_reference(t)
+
+
+# Multi-binder redexes over three names that both bind the block and occur
+# free in the arguments, so that renaming steps, captures and
+# substitutions into earlier arguments all come up.  All binders are
+# ground: the terms are often ill-typed, and the budgets stay small.
+_POOL = ("x", "y", "z")
+
+
+def _ground_block(names, body):
+    return Abs(tuple((n, GROUND) for n in names), body)
+
+
+_pool_binders = st.lists(st.sampled_from(_POOL), min_size=1, max_size=2, unique=True)
+_pool_terms = st.recursive(
+    st.builds(Var, st.sampled_from(_POOL + ("f",))),
+    lambda sub: st.one_of(
+        st.builds(_ground_block, _pool_binders, sub),
+        st.builds(lambda h, a: App(h, tuple(a)), sub, st.lists(sub, min_size=1, max_size=2)),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def block_redexes(draw):
+    names = draw(st.lists(st.sampled_from(_POOL), min_size=2, max_size=3, unique=True))
+    # often a binder of the body stands over the block's variables
+    inner = st.builds(_ground_block, _pool_binders, _pool_terms)
+    body = draw(st.one_of(_pool_terms, inner.map(lambda a: App(Var("f"), (a,)))))
+    # from 2 arguments to one more than the binders, often a bare name
+    arg = st.one_of(st.builds(Var, st.sampled_from(_POOL)), _pool_terms)
+    args = [draw(arg) for _ in range(draw(st.integers(2, len(names) + 1)))]
+    term = App(_ground_block(names, body), tuple(args))
+    outer = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    return canonicalize(_ground_block(outer, term) if outer else term)
+
+
+@hyp.settings(max_examples=200)
+@hyp.given(
+    block_redexes(),
+    st.builds(
+        ReductionBudget,
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=100),
+    ),
+)
+def test_driver_matches_reference_on_block_redexes(t, budget):
+    _assert_driver_matches_reference(t, budget)
+
+
+# --------------------------------------------------------------------------
 # sizes and substitution against the walks they replaced
 #
 # `_reference_size` is the recursive node count `Term.size` once was, and
