@@ -28,6 +28,7 @@ from .encodings import (
     word_spec_from_json,
 )
 from .games import (
+    _DEFAULT_MAX_LEN,
     build_computation_tree,
     enumerate_traversals,
     p_view_indices,
@@ -38,6 +39,7 @@ from .hardness import CHURCH_TRUE, equality_instance, qbf_to_term
 from .qbf import parse_qbf, qbf_text
 from .qbf_oracle import eval_qbf
 from .reduction import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CaptureViolation,
     ReductionBudget,
@@ -98,6 +100,8 @@ def _load_env(text: str, as_json: bool):
 
 
 _ENV_HELP = "types of free variables, e.g. 'z:o, f:o->o'"
+_MAX_STEPS = click.option("--max-steps", default=DEFAULT_BUDGET.max_steps, show_default=True, type=click.IntRange(1))
+_MAX_SIZE = click.option("--max-size", default=DEFAULT_BUDGET.max_term_size, show_default=True, type=click.IntRange(1))
 
 
 # Each library failure a command lets through: its exit code and message.
@@ -173,8 +177,8 @@ def check(termfile, env_text, trace, as_json):
     default="plain",
     show_default=True,
 )
-@click.option("--max-steps", default=100_000, show_default=True, type=click.IntRange(1))
-@click.option("--max-size", default=1_000_000, show_default=True, type=click.IntRange(1))
+@_MAX_STEPS
+@_MAX_SIZE
 @click.option("--trace", is_flag=True, help="print every reduction step")
 @click.option("--json", "as_json", is_flag=True)
 def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
@@ -202,8 +206,8 @@ def normalize(termfile, strategy, max_steps, max_size, trace, as_json):
 @click.argument("left", type=click.Path(exists=True, dir_okay=False))
 @click.argument("right", type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_text", default="", help=_ENV_HELP)
-@click.option("--max-steps", default=100_000, show_default=True, type=click.IntRange(1))
-@click.option("--max-size", default=1_000_000, show_default=True, type=click.IntRange(1))
+@_MAX_STEPS
+@_MAX_SIZE
 @click.option("--json", "as_json", is_flag=True)
 def eq(left, right, env_text, max_steps, max_size, as_json):
     """Beta-eta equality of the terms in LEFT and RIGHT."""
@@ -234,9 +238,6 @@ def _parse_assignment(text: str, variables, as_json: bool) -> dict:
         if name in values:
             _fail(EXIT_USAGE, f"{name} assigned twice", as_json)
         values[name] = n
-    missing = [v for v in variables if v not in values]
-    if missing:
-        _fail(EXIT_USAGE, f"missing value(s) for {', '.join(missing)}", as_json)
     return values
 
 
@@ -262,7 +263,8 @@ def poly(expression, at_text, emit_term, as_json):
         payload["term"] = pretty(term)
     if at_text is not None:
         values = _parse_assignment(at_text, p.variables, as_json)
-        direct = p.evaluate(values)
+        with _user_text(as_json, ValueError):
+            direct = p.evaluate(values)
         applied = mk_app(term, tuple(church_nat(values[v]) for v in p.variables))
         computed = decode_nat(_normalize(applied))
         if computed != direct:
@@ -359,7 +361,7 @@ def qbf(formula, emit_dir, as_json):
 @main.command()
 @click.argument("termfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_text", default="", help=_ENV_HELP)
-@click.option("--max-length", default=200, show_default=True, type=click.IntRange(1))
+@click.option("--max-length", default=_DEFAULT_MAX_LEN, show_default=True, type=click.IntRange(1))
 @click.option("--show-views", is_flag=True, help="print final views")
 @click.option("--json", "as_json", is_flag=True)
 def traverse(termfile, env_text, max_length, show_views, as_json):

@@ -40,6 +40,7 @@ from .syntax import (
     mk_abs,
     parse,
     rename_reserved,
+    type_text,
 )
 
 
@@ -49,7 +50,7 @@ class DecodeError(Exception):
 
 NAT = arrow(arrow(GROUND, GROUND), GROUND, GROUND)
 
-_NAT_TEXT = "(o->o)->o->o"
+_NAT_TEXT = type_text(NAT)
 
 ADD = parse(rf"\m:{_NAT_TEXT} n:{_NAT_TEXT} s:o->o z:o. m s (n s z)")
 MUL = parse(rf"\m:{_NAT_TEXT} n:{_NAT_TEXT} s:o->o z:o. m (n s) z")
@@ -208,16 +209,7 @@ def parse_polynomial(text: str) -> Polynomial:
         raise ValueError("empty polynomial")
 
     variables: list[str] = []
-    monomials: dict[tuple[int, ...], int] = {}
-
-    def add_monomial(coeff: int, powers: dict[str, int]):
-        for v in powers:
-            if v not in variables:
-                variables.append(v)
-        key = tuple(powers.get(v, 0) for v in variables)
-        if coeff:
-            monomials[key] = monomials.get(key, 0) + coeff
-
+    terms: list[tuple[int, dict[str, int]]] = []
     i = 0
     while i < len(tokens):
         coeff, powers = 1, {}
@@ -242,7 +234,11 @@ def parse_polynomial(text: str) -> Polynomial:
                 i += 1
                 continue
             break
-        add_monomial(coeff, {v: e for v, e in powers.items() if e > 0})
+        # a positive power registers a variable, even under a zero coefficient
+        for v, e in powers.items():
+            if e > 0 and v not in variables:
+                variables.append(v)
+        terms.append((coeff, powers))
         if i < len(tokens):
             if tokens[i] != "+":
                 raise ValueError(f"expected '+' before {tokens[i]!r}")
@@ -250,16 +246,12 @@ def parse_polynomial(text: str) -> Polynomial:
             if i == len(tokens):
                 raise ValueError("trailing '+'")
 
-    # keys recorded before a later variable first appeared are short; pad
-    # them out and merge, since padding can make distinct keys collide
-    width = len(variables)
-    padded: dict[tuple[int, ...], int] = {}
-    for k, c in monomials.items():
-        if not c:
-            continue
-        kk = k + (0,) * (width - len(k))
-        padded[kk] = padded.get(kk, 0) + c
-    return Polynomial(tuple(variables), padded)
+    monomials: dict[tuple[int, ...], int] = {}
+    for coeff, powers in terms:
+        if coeff:
+            key = tuple(powers.get(v, 0) for v in variables)
+            monomials[key] = monomials.get(key, 0) + coeff
+    return Polynomial(tuple(variables), monomials)
 
 
 def compile_polynomial(p: Polynomial) -> Term:

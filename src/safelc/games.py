@@ -45,6 +45,9 @@ from .syntax import (
 # node kinds, a class constant of each node type
 LAM, APP, VAR = 0, 1, 2
 
+# the traversal length at which enumeration and read-back stop by default
+_DEFAULT_MAX_LEN = 200
+
 
 @dataclass(eq=False)
 class LambdaNode:
@@ -318,7 +321,7 @@ def _walk(tree: ComputationTree, max_len: int):
 
 
 def enumerate_traversals(
-    tree: ComputationTree, max_len: int = 200
+    tree: ComputationTree, max_len: int = _DEFAULT_MAX_LEN
 ) -> tuple[Traversal, ...]:
     """All maximal traversals in canonical order: by length, then by the
     child order at the first choice where two part, as a breadth-first
@@ -446,7 +449,7 @@ def reconstruct_p_pointers(
 # normalization by traversal
 
 
-def traversal_normal_form(tree: ComputationTree, budget: int = 200) -> Term:
+def traversal_normal_form(tree: ComputationTree, budget: int = _DEFAULT_MAX_LEN) -> Term:
     """The beta-eta-long normal form, assembled from the traversal cores
     during one depth-first walk, with no traversal stored.
 

@@ -58,20 +58,13 @@ def formula_vars(f: Formula) -> frozenset[str]:
     return formula_vars(f.left) | formula_vars(f.right)
 
 
-def count_connectives(f: Formula) -> int:
-    if isinstance(f, BoolVar):
-        return 0
-    if isinstance(f, Not):
-        return 1 + count_connectives(f.operand)
-    return 1 + count_connectives(f.left) + count_connectives(f.right)
-
-
-def count_atoms(f: Formula) -> int:
+def count_nodes(f: Formula) -> int:
+    """The connectives plus the atoms of `f`: one per node."""
     if isinstance(f, BoolVar):
         return 1
     if isinstance(f, Not):
-        return count_atoms(f.operand)
-    return count_atoms(f.left) + count_atoms(f.right)
+        return 1 + count_nodes(f.operand)
+    return 1 + count_nodes(f.left) + count_nodes(f.right)
 
 
 @dataclass(frozen=True)
@@ -91,12 +84,9 @@ class QBF:
 
     @property
     def size(self) -> int:
-        """Prefix length plus matrix connectives plus matrix atoms."""
-        return (
-            len(self.prefix)
-            + count_connectives(self.matrix)
-            + count_atoms(self.matrix)
-        )
+        """Prefix length plus matrix connectives plus matrix atoms, which
+        together are the nodes of the matrix."""
+        return len(self.prefix) + count_nodes(self.matrix)
 
     def __str__(self) -> str:
         return qbf_text(self)

@@ -297,21 +297,6 @@ def _contraction(strategy: "Strategy | str"):
 _ARG, _HEAD, _BODY, _NESTED_BODY = range(4)
 
 
-def _context_size(stack: list) -> int:
-    """The nodes of the whole term outside the focus of `stack`."""
-    n = 0
-    for kind, node, i, args in stack:
-        if kind == _ARG:
-            args = node.args if args is None else args
-            n += 1 + node.head.size + sum(a.size for a in args[:i])
-            n += sum(a.size for a in args[i + 1 :])
-        elif kind == _HEAD:
-            n += 1 + sum(a.size for a in node.args)
-        else:
-            n += 1 + len(node.binders)
-    return n
-
-
 def _plug(stack: list, term: Term) -> Term:
     """The whole term: `term` put back into the context `stack`."""
     for kind, node, i, args in reversed(stack):
@@ -328,11 +313,10 @@ def _plug(stack: list, term: Term) -> Term:
 class _Reducer:
     """Leftmost-outermost reduction of one term, one contraction per step.
 
-    With a budget, the size of the whole term is kept up to date by the
-    difference each contraction makes.  It is first computed after the
-    first contraction, from the contractum and the context around it, and
-    again after a walk restarts from the root.  Without a budget nothing
-    is metered.
+    The size of the whole term starts at the input's recorded size and is
+    kept up to date by the difference each contraction makes; a walk that
+    restarts from the root takes the rebuilt term's size.  It is checked
+    only under a budget.
 
     With `blocks`, a budget and canonical input, a plain redex block is
     contracted by `_contract_plain_block` when that gives what its steps
@@ -358,7 +342,7 @@ class _Reducer:
         self.focus = term
         self.nested = 0  # _HEAD and _NESTED_BODY frames on the stack
         self.steps = 0
-        self.size: Optional[int] = None
+        self.size = term.size
         self.start = term
         # None until the input has been checked to be canonical
         self.blocks: Optional[bool] = None if blocks and budget is not None else False
@@ -438,14 +422,11 @@ class _Reducer:
             if self.blocks is None:
                 self.blocks = _is_canonical(self.start)
             if self.blocks:
-                if size is None:
-                    size = _context_size(stack) + focus.size
                 new = _contract_plain_block(head, args, j, budget.max_term_size - size)
         if new is None:
             new = self.contract(head, args)
             j = 1
         if budget is not None and self.steps >= budget.max_steps:
-            # max_steps >= 1, so an earlier contraction has set the size
             raise BudgetExceededError(
                 self.steps,
                 size,
@@ -458,26 +439,22 @@ class _Reducer:
             new = _plug(stack, new)
             stack.clear()
             nested = 0
-            size = None
+            size = new.size
         elif stack and stack[-1][0] == _BODY and type(new) is Abs:
             # an abstraction in a body joins the enclosing block
             binders = stack.pop()[1].binders
             merged = mk_abs(binders, new)
-            if size is not None:
-                size += merged.size - (1 + len(binders) + focus.size)
+            size += merged.size - (1 + len(binders) + focus.size)
             new = merged
-        elif size is not None:
+        else:
             size += new.size - focus.size
-        if budget is not None:
-            if size is None:
-                size = _context_size(stack) + new.size
-            if size > budget.max_term_size:
-                raise BudgetExceededError(
-                    self.steps,
-                    size,
-                    f"term size {size} exceeds budget {budget.max_term_size} "
-                    f"after {self.steps} steps",
-                )
+        if budget is not None and size > budget.max_term_size:
+            raise BudgetExceededError(
+                self.steps,
+                size,
+                f"term size {size} exceeds budget {budget.max_term_size} "
+                f"after {self.steps} steps",
+            )
         self.focus, self.nested, self.size = new, nested, size
         return True
 

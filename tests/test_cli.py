@@ -133,6 +133,25 @@ def test_normalize_step_budget_exits_three(runner, lamfile):
     assert r.exit_code == 3
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (["--max-size", "4"], "term size 5 exceeds budget 4 after 1 steps"),
+        (["--max-steps", "1"], "no normal form within 1 steps (current term size 5)"),
+    ],
+)
+def test_normalize_budget_errors_report_the_term_size(runner, lamfile, budget, message, as_json):
+    # sizes 7, 5, 1 on the way: the first step's size follows from the input's
+    path = lamfile("drop.lam", r"(\x:o y:o. y) a b")
+    r = invoke(runner, ["normalize", path, *budget] + (["--json"] if as_json else []))
+    assert r.exit_code == 3
+    if as_json:
+        assert json.loads(r.output) == {"error": message}
+    else:
+        assert r.output == f"error: {message}\n"
+
+
 def test_normalize_ill_typed_is_usage_error(runner, lamfile):
     # without a type check this runs until the step budget (exit 3)
     path = lamfile("omega.lam", r"(\x:o. x x) (\x:o. x x)")
@@ -352,6 +371,16 @@ def test_poly_assignment_errors(runner):
     for at in ("x=2", "x=2,y=1,z=3", "x=-1,y=0", "x=a,y=1"):
         r = invoke(runner, ["poly", "x*y", "--at", at])
         assert r.exit_code == 2, at
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_poly_missing_value_is_usage_error(runner, as_json):
+    r = invoke(runner, ["poly", "x*y", "--at", "x=1"] + (["--json"] if as_json else []))
+    assert r.exit_code == 2
+    if as_json:
+        assert json.loads(r.output) == {"error": "missing value(s) for y"}
+    else:
+        assert r.output.endswith("error: missing value(s) for y\n")
 
 
 def test_poly_parse_error(runner):

@@ -102,6 +102,13 @@ def test_parse_polynomial_combines_like_monomials():
     assert dict(parse_polynomial("2*x*x + x^2").monomials) == {(2,): 3}
 
 
+def test_parse_polynomial_orders_variables_and_monomials_by_first_appearance():
+    # a zero coefficient still registers its variable; x^0 does not
+    p = parse_polynomial("0*z + x^0*y + y*x + x*y")
+    assert p.variables == ("z", "y", "x")
+    assert list(p.monomials.items()) == [((0, 1, 0), 1), ((0, 1, 1), 2)]
+
+
 def test_parse_polynomial_zero():
     p = parse_polynomial("0")
     assert p.variables == () and dict(p.monomials) == {}

@@ -561,6 +561,10 @@ def test_driver_restarts_under_non_canonical_nesting():
     t = parse(r"((f ((\x:o. x) a)) b) (\u:o. \v:o. (\w:o. w) v)", canonical=False)
     _assert_driver_matches_reference(t)
     assert normalize(t) == parse(r"f a b (\u:o v:o. v)")
+    # the rebuild flattens and merges, so the size it reports is read from
+    # the rebuilt term: each cut must fall where the reference's does
+    for m in range(1, t.size + 1):
+        _assert_driver_matches_reference(t, ReductionBudget(max_term_size=m))
 
 
 def test_normalize_deep_numeral_at_default_recursion_limit():
