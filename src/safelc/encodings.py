@@ -232,6 +232,8 @@ def parse_polynomial(text: str) -> Polynomial:
                 raise ValueError(f"unexpected {tok!r} in polynomial")
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
+                if i == len(tokens):
+                    raise ValueError("trailing '*'")
                 continue
             break
         # a positive power registers a variable, even under a zero coefficient

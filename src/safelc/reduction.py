@@ -27,7 +27,10 @@ rather than return a wrong term.
 
 Both strategies contract the leftmost-outermost redex, and one driver
 finds it for `beta_step`, `safe_step`, `reduction_sequence` and
-`normalize`.  It walks down a stack of contexts (a zipper) into
+`normalize`.  Each of them reduces the canonical form of its input, as
+`canonicalize` gives it, and every contraction keeps a canonical term
+canonical, so the paper's redex blocks (\x1..xn. M) N1..Nk are the nodes
+the driver meets.  It walks down a stack of contexts (a zipper) into
 abstraction bodies and into the arguments, left to right, of applications
 headed by a variable, and contracts at the first redex it meets.  It then
 goes on from the contractum rather than from the root: the nodes above it
@@ -46,11 +49,11 @@ the block free, so no step substitutes into an argument an earlier one
 put in place.  A canonical body only grows under substitution, so no
 term on the way is larger than (\x2..xn. M') N2..Nk with the whole
 substituted body M' in place; the size budget is checked against that.
-The block is stepped instead when the input is not canonical, when M is
-one of x1..x(j-1) (an argument then regroups the block mid-way), or when
-a budget could run out inside it.  So results, step counts and budget
-errors are those of one binder per step, which `beta_step`,
-`reduction_sequence` and the traced CLI keep showing.
+The block is stepped instead when M is one of x1..x(j-1) (an argument
+then regroups the block mid-way), or when a budget could run out inside
+it.  So results, step counts and budget errors are those of one binder
+per step, which `beta_step`, `reduction_sequence` and the traced CLI keep
+showing.
 
 Equality does not step.  `beta_eta_equal` evaluates both terms into
 closures and reads back their eta-long normal forms from the common type
@@ -73,7 +76,7 @@ from .syntax import (
     Term,
     TypeEnv,
     Var,
-    _is_canonical,
+    canonicalize,
     mk_abs,
     mk_app,
     primed,
@@ -282,19 +285,13 @@ def _contraction(strategy: "Strategy | str"):
 # --------------------------------------------------------------------------
 # the step driver
 #
-# Input that `parse(canonical=False)` or a raw AST gives can also have an
-# application in head position, which the walk enters before the
-# arguments, and an abstraction directly in a body.  Each frame is rebuilt
-# on the way up with the constructor a root-first search uses at its
-# position: `App` in an argument, `mk_app` in a head and `mk_abs` in a
-# body.  Two of those can change the shape of the path.  A contractum that
-# is an abstraction directly in a body merges into that block at once.  A
-# contractum in a head, or one under an application in a head or under an
-# abstraction directly in a body, makes the driver rebuild the whole term
-# and walk again from its root; the rebuild leaves that spot canonical, so
-# this happens once per spot.
+# The driver reduces canonical terms, and every contraction keeps them
+# canonical: a head is never an application and a body never an
+# abstraction, so the walk meets two kinds of frame.  An argument is put
+# back with `App`; a body with `mk_abs`, and a contractum that is an
+# abstraction directly in a body merges into that block at once.
 
-_ARG, _HEAD, _BODY, _NESTED_BODY = range(4)
+_ARG, _BODY = range(2)
 
 
 def _plug(stack: list, term: Term) -> Term:
@@ -303,31 +300,25 @@ def _plug(stack: list, term: Term) -> Term:
         if kind == _ARG:
             before = node.args[:i] if args is None else tuple(args[:i])
             term = App(node.head, before + (term,) + node.args[i + 1 :])
-        elif kind == _HEAD:
-            term = mk_app(term, node.args)
         else:
             term = mk_abs(node.binders, term)
     return term
 
 
 class _Reducer:
-    """Leftmost-outermost reduction of one term, one contraction per step.
+    """Leftmost-outermost reduction of one canonical term, one contraction
+    per step.
 
     The size of the whole term starts at the input's recorded size and is
-    kept up to date by the difference each contraction makes; a walk that
-    restarts from the root takes the rebuilt term's size.  It is checked
-    only under a budget.
+    kept up to date by the difference each contraction makes.  It is
+    checked only under a budget.
 
-    With `blocks`, a budget and canonical input, a plain redex block is
-    contracted by `_contract_plain_block` when that gives what its steps
-    one by one would, and counts as that many steps.  Canonical input
-    keeps every term on the way canonical and `nested` at 0; it is
-    checked at the first block, so input with none pays nothing.
+    With `blocks` and a budget, a plain redex block is contracted by
+    `_contract_plain_block` when that gives what its steps one by one
+    would, and counts as that many steps.
     """
 
-    __slots__ = (
-        "contract", "budget", "stack", "focus", "nested", "steps", "size", "start", "blocks"
-    )
+    __slots__ = ("contract", "budget", "stack", "focus", "steps", "size", "blocks")
 
     def __init__(
         self,
@@ -340,12 +331,9 @@ class _Reducer:
         self.budget = budget
         self.stack: list = []  # frames [kind, node, argument index, new arguments]
         self.focus = term
-        self.nested = 0  # _HEAD and _NESTED_BODY frames on the stack
         self.steps = 0
         self.size = term.size
-        self.start = term
-        # None until the input has been checked to be canonical
-        self.blocks: Optional[bool] = None if blocks and budget is not None else False
+        self.blocks = blocks and budget is not None
 
     def term(self) -> Term:
         return _plug(self.stack, self.focus)
@@ -355,27 +343,17 @@ class _Reducer:
 
         False on a normal form, which the focus then holds whole.
         """
-        stack, focus, nested = self.stack, self.focus, self.nested
+        stack, focus = self.stack, self.focus
         while True:
             kind = type(focus)
             if kind is App:
-                head = focus.head
-                if type(head) is Abs:
+                if type(focus.head) is Abs:
                     break
-                if type(head) is App:
-                    stack.append([_HEAD, focus, 0, None])
-                    nested += 1
-                    focus = head
-                else:
-                    stack.append([_ARG, focus, 0, None])
-                    focus = focus.args[0]
+                stack.append([_ARG, focus, 0, None])
+                focus = focus.args[0]
                 continue
             if kind is Abs:
-                if stack and stack[-1][0] in (_BODY, _NESTED_BODY):
-                    stack.append([_NESTED_BODY, focus, 0, None])
-                    nested += 1
-                else:
-                    stack.append([_BODY, focus, 0, None])
+                stack.append([_BODY, focus, 0, None])
                 focus = focus.body
                 continue
             # the focus is normal: climb to the next argument left to walk
@@ -395,20 +373,9 @@ class _Reducer:
                         break
                     stack.pop()
                     focus = node if args is None else App(node.head, tuple(args))
-                elif kind == _HEAD:
-                    # the head is unchanged: a contraction in it restarts
-                    frame[0] = _ARG
-                    nested -= 1
-                    focus = node.args[0]
-                    break
                 else:
                     stack.pop()
-                    if kind == _NESTED_BODY:
-                        nested -= 1
-                    if focus is not node.body:
-                        focus = mk_abs(node.binders, focus)
-                    else:
-                        focus = node
+                    focus = node if focus is node.body else mk_abs(node.binders, focus)
             else:
                 self.focus = focus
                 return False
@@ -418,11 +385,8 @@ class _Reducer:
         size = self.size
         new = None
         j = min(len(head.binders), len(args))
-        if self.blocks is not False and j > 1 and self.steps + j <= budget.max_steps:
-            if self.blocks is None:
-                self.blocks = _is_canonical(self.start)
-            if self.blocks:
-                new = _contract_plain_block(head, args, j, budget.max_term_size - size)
+        if self.blocks and j > 1 and self.steps + j <= budget.max_steps:
+            new = _contract_plain_block(head, args, j, budget.max_term_size - size)
         if new is None:
             new = self.contract(head, args)
             j = 1
@@ -434,13 +398,7 @@ class _Reducer:
                 f"(current term size {size})",
             )
         self.steps += j
-        if nested:
-            # the rebuild reshapes the path: walk again from the new root
-            new = _plug(stack, new)
-            stack.clear()
-            nested = 0
-            size = new.size
-        elif stack and stack[-1][0] == _BODY and type(new) is Abs:
+        if stack and stack[-1][0] == _BODY and type(new) is Abs:
             # an abstraction in a body joins the enclosing block
             binders = stack.pop()[1].binders
             merged = mk_abs(binders, new)
@@ -455,7 +413,7 @@ class _Reducer:
                 f"term size {size} exceeds budget {budget.max_term_size} "
                 f"after {self.steps} steps",
             )
-        self.focus, self.nested, self.size = new, nested, size
+        self.focus, self.size = new, size
         return True
 
 
@@ -466,7 +424,7 @@ def beta_step(term: Term) -> Optional[Term]:
     Uses capture-avoiding substitution, so it is sound on any term.
     Returns None on a beta-normal form.
     """
-    reducer = _Reducer(term, _contract_plain, None)
+    reducer = _Reducer(canonicalize(term), _contract_plain, None)
     return reducer.term() if reducer.step() else None
 
 
@@ -480,7 +438,7 @@ def safe_step(term: Term) -> Optional[Term]:
     form; raises CaptureViolation if the no-rename discipline fails, which
     cannot happen on safe input.
     """
-    reducer = _Reducer(term, _contract_safe, None)
+    reducer = _Reducer(canonicalize(term), _contract_safe, None)
     return reducer.term() if reducer.step() else None
 
 
@@ -493,7 +451,9 @@ def reduction_sequence(
     strategy: "Strategy | str" = Strategy.PLAIN,
     budget: ReductionBudget = DEFAULT_BUDGET,
 ) -> Iterator[Term]:
-    """Yield the reduction chain starting at `term` (the term included)."""
+    """Yield the reduction chain from the canonical form of `term` on
+    (that form included)."""
+    term = canonicalize(term)
     reducer = _Reducer(term, _contraction(strategy), budget)
     yield term
     while reducer.step():
@@ -507,7 +467,7 @@ def _normalize_counted(
 ) -> tuple[Term, int]:
     """The normal form and the number of steps taken to reach it."""
     plain = _coerce_strategy(strategy) is Strategy.PLAIN
-    reducer = _Reducer(term, _contraction(strategy), budget, blocks=plain)
+    reducer = _Reducer(canonicalize(term), _contraction(strategy), budget, blocks=plain)
     while reducer.step():
         pass
     return reducer.focus, reducer.steps

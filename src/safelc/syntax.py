@@ -25,8 +25,9 @@ its tokens with an explicit stack, so nesting depth is not limited by
 Python's recursion limit.  The parser builds the written grouping and
 notes whether it is canonical; only when it is not (an abstraction stands
 directly in an abstraction body or an application in head position) does
-it run the (recursive) rebuild that ``canonicalize`` uses.  A term's ``size`` is set when its
-node is built, from the sizes of its children, which always exist first.
+it run the rebuild that ``canonicalize`` uses, a bottom-up fold over
+``mk_abs`` and ``mk_app``.  A term's ``size`` is set when its node is
+built, from the sizes of its children, which always exist first.
 Only ``free_names`` is filled lazily, once per node, bottom-up without
 recursion; keeping it lazy keeps the nodes small.
 
@@ -302,14 +303,14 @@ def all_names(term: Term) -> frozenset[str]:
 
 
 def canonicalize(term: Term) -> Term:
-    """Merge nested Abs blocks and flatten App heads, recursively.
+    """Merge nested Abs blocks and flatten App heads, at every level.
 
     Idempotent.  If merging two blocks would put the same name twice in
     one block, the earlier (necessarily vacuous, since the later binder
     shadows it over its entire scope) binder is renamed with the primed
-    fresh-name scheme.  A term that is already canonical (no Abs directly
-    in an Abs body, no App as an App head) is returned as it is, after
-    one pass that rebuilds nothing.
+    fresh-name scheme, as `mk_abs` does.  A term that is already
+    canonical (no Abs directly in an Abs body, no App as an App head) is
+    returned as it is, after one pass that rebuilds nothing.
     """
     return term if _is_canonical(term) else _regroup(term)
 
@@ -335,44 +336,55 @@ def _is_canonical(term: Term) -> bool:
 
 
 def _regroup(term: Term) -> Term:
-    """`canonicalize` without the check: rebuild every node."""
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Abs):
-        binders = list(term.binders)
-        body = term.body
-        while isinstance(body, Abs):
-            binders.extend(body.binders)
-            body = body.body
-        body = _regroup(body)
-        # later binders win a name clash; rename the shadowed earlier ones
-        seen: set[str] = set()
-        taken = set(n for n, _ in binders) | all_names(body)
-        for i in range(len(binders) - 1, -1, -1):
-            name, ty = binders[i]
-            if name in seen:
-                binders[i] = (primed(name, taken), ty)
+    """`canonicalize` without the check: rebuild every node bottom-up
+    with `mk_abs` and `mk_app`, with an explicit stack."""
+    done: list[Term] = []  # rebuilt subterms, in order
+    todo: list = [term]  # a term to enter, or (term,) to rebuild
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            if type(t) is Abs:
+                done.append(mk_abs(t.binders, done.pop()))
             else:
-                seen.add(name)
-        out = Abs(tuple(binders), body)
-        return out
-    if isinstance(term, App):
-        head = _regroup(term.head)
-        args = tuple(_regroup(a) for a in term.args)
-        while isinstance(head, App):
-            args = head.args + args
-            head = head.head
-        return App(head, args)
-    raise TypeError(f"not a term: {term!r}")
+                n = len(t.args)
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(mk_app(done.pop(), args))
+        elif type(t) is Var:
+            done.append(t)
+        elif type(t) is Abs:
+            todo += ((t,), t.body)
+        elif type(t) is App:
+            todo.append((t,))
+            todo += reversed(t.args)
+            todo.append(t.head)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return done[0]
 
 
 def mk_abs(binders: tuple[Binder, ...], body: Term) -> Term:
-    """Abs that stays canonical; with no binders it is just the body."""
+    """Abs that stays canonical; with no binders it is just the body.
+
+    `body` must be canonical.  An Abs body merges into one block with
+    `binders`.  An outer binder named as one of the inner block is
+    shadowed over its whole scope, so vacuous; such binders are renamed,
+    right to left, with the primed fresh-name scheme, avoiding every name
+    of the block and of its body.
+    """
     if not binders:
         return body
-    if isinstance(body, Abs):
-        return _regroup(Abs(binders, body))
-    return Abs(binders, body)
+    if type(body) is not Abs:
+        return Abs(binders, body)
+    inner = body.binder_names
+    if any(n in inner for n, _ in binders):
+        taken = set(all_names(body)).union(n for n, _ in binders)
+        renamed = [
+            (primed(n, taken) if n in inner else n, ty) for n, ty in reversed(binders)
+        ]
+        binders = tuple(reversed(renamed))
+    return Abs(binders + body.binders, body.body)
 
 
 def mk_app(head: Term, args: tuple[Term, ...]) -> Term:

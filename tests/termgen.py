@@ -30,18 +30,23 @@ def _app(head, args):
     return App(head, tuple(args))
 
 
-terms = st.recursive(
-    st.builds(Var, names),
-    lambda sub: st.one_of(
-        st.builds(
-            _abs,
-            st.lists(st.tuples(names, types), min_size=1, max_size=2, unique_by=lambda b: b[0]),
-            sub,
+def term_strategy(names, max_leaves: int):
+    """Raw terms over the variable and binder names `names` draws."""
+    return st.recursive(
+        st.builds(Var, names),
+        lambda sub: st.one_of(
+            st.builds(
+                _abs,
+                st.lists(st.tuples(names, types), min_size=1, max_size=2, unique_by=lambda b: b[0]),
+                sub,
+            ),
+            st.builds(_app, sub, st.lists(sub, min_size=1, max_size=2)),
         ),
-        st.builds(_app, sub, st.lists(sub, min_size=1, max_size=2)),
-    ),
-    max_leaves=10,
-)
+        max_leaves=max_leaves,
+    )
+
+
+terms = term_strategy(names, 10)
 
 
 def copy_term(term: Term) -> Term:

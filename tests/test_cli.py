@@ -388,6 +388,17 @@ def test_poly_parse_error(runner):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("text", ["x*", "2*", "x^2*"])
+def test_poly_trailing_star_is_usage_error(runner, text, as_json):
+    r = invoke(runner, ["poly", text] + (["--json"] if as_json else []))
+    assert r.exit_code == 2
+    if as_json:
+        assert json.loads(r.output) == {"error": "trailing '*'"}
+    else:
+        assert r.output.endswith("error: trailing '*'\n")
+
+
 # -- word --------------------------------------------------------------
 
 

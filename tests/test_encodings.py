@@ -120,6 +120,12 @@ def test_parse_polynomial_errors():
             parse_polynomial(bad)
 
 
+def test_parse_polynomial_trailing_star_is_a_value_error():
+    for bad in ("x*", "2*", "x^2*", "x + y*", "x * y *"):
+        with pytest.raises(ValueError, match=r"trailing '\*'"):
+            parse_polynomial(bad)
+
+
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         Polynomial(("x", "x"), {})

@@ -408,8 +408,9 @@ def test_strategies_agree_within_budget(t):
 #
 # `_reference_step` and `_reference_sequence` are the engine the driver
 # replaced, kept verbatim: each step searches from the root and rebuilds
-# the root-to-redex path.  The driver must give `==` results, errors
-# included, on any input, canonical or not.
+# the root-to-redex path.  The driver reduces the canonical form of its
+# input, so on any input, canonical or not, it must give `==` results,
+# errors included, to the reference run from that canonical form.
 
 
 def _reference_step(term: Term, contract) -> Optional[Term]:
@@ -486,11 +487,12 @@ def _chain(sequence):
 
 
 def _assert_driver_matches_reference(term, budget=DEFAULT_BUDGET):
+    start = canonicalize(term)
     for contract, step in ((_contract_plain, beta_step), (_contract_safe, safe_step)):
-        want = _outcome(lambda: _reference_step(term, contract))
+        want = _outcome(lambda: _reference_step(start, contract))
         assert _outcome(lambda: step(term)) == want
     for strategy in Strategy:
-        chain = _chain(_reference_sequence(term, strategy, budget))
+        chain = _chain(_reference_sequence(start, strategy, budget))
         assert _chain(reduction_sequence(term, strategy, budget)) == chain
         counted = _outcome(lambda: _normalize_counted(term, strategy, budget))
         if isinstance(chain[-1], tuple):
@@ -555,16 +557,37 @@ def test_driver_merges_an_abstraction_contractum_into_its_block():
     assert normalize(t, Strategy.SAFE) == parse(r"\a:o y:o. a")
 
 
-def test_driver_restarts_under_non_canonical_nesting():
-    # an application in head position and a block directly in a body: a
-    # contraction under either reshapes the path as the reference does
-    t = parse(r"((f ((\x:o. x) a)) b) (\u:o. \v:o. (\w:o. w) v)", canonical=False)
-    _assert_driver_matches_reference(t)
-    assert normalize(t) == parse(r"f a b (\u:o v:o. v)")
-    # the rebuild flattens and merges, so the size it reports is read from
-    # the rebuilt term: each cut must fall where the reference's does
-    for m in range(1, t.size + 1):
-        _assert_driver_matches_reference(t, ReductionBudget(max_term_size=m))
+def test_non_canonical_input_reduces_as_its_canonical_form():
+    # an application in head position and blocks directly in bodies: the
+    # engines reduce the canonical form, so every result, step count and
+    # budget error is the one that form gives, under every budget cut
+    texts = (
+        r"((f ((\x:o. x) a)) b) (\u:o. \v:o. (\w:o. w) v)",
+        r"(\x:o y:o. f (\u:o. \v:o. g x y)) a ((h c) d)",
+        r"\a:o. \s:o->o. (\x:o. \y:o. s ((\z:o. z) x)) a",
+    )
+    raw = [parse(text, canonical=False) for text in texts]
+    raw += [e.term for e in HAND_CORPUS if not is_canonical(e.term)]
+    for t in raw:
+        c = canonicalize(t)
+        assert c != t
+        assert beta_step(t) == beta_step(c)
+        assert _outcome(lambda: safe_step(t)) == _outcome(lambda: safe_step(c))
+        for strategy in Strategy:
+            most = _normalize_counted(c, strategy)[1]
+            cuts = [DEFAULT_BUDGET]
+            cuts += [ReductionBudget(max_steps=k) for k in range(1, most + 1)]
+            cuts += [ReductionBudget(max_term_size=m) for m in range(1, c.size + 1)]
+            for budget in cuts:
+                assert _chain(reduction_sequence(t, strategy, budget)) == _chain(
+                    reduction_sequence(c, strategy, budget)
+                )
+                assert _outcome(lambda: _normalize_counted(t, strategy, budget)) == _outcome(
+                    lambda: _normalize_counted(c, strategy, budget)
+                )
+        _assert_driver_matches_reference(t)
+    assert normalize(raw[0]) == parse(r"f a b (\u:o v:o. v)")
+    assert normalize(raw[1]) == parse(r"f (\u:o v:o. g a (h c d))")
 
 
 def test_normalize_deep_numeral_at_default_recursion_limit():
@@ -589,6 +612,32 @@ def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
         results = [normalize(term, strategy) for strategy in Strategy]
     # == on nested dataclasses recurses, so it runs outside
     assert results == [Abs(binders, deep)] * 2
+
+
+def test_normalize_partial_application_of_a_deep_numeral_at_default_recursion_limit():
+    # the numeral becomes the body of the block left over: the merge
+    # joins its block to y and must not walk the 3,000-deep body
+    numeral = church_nat(3_000)
+    term = App(parse(r"\x:(o->o)->o->o y:o. x"), (numeral,))
+    with recursion_limit(1_000):
+        results = [_normalize_counted(term, strategy) for strategy in Strategy]
+    merged = Abs((("y", GROUND),) + numeral.binders, numeral.body)
+    assert results == [(merged, 1)] * 2
+
+
+def test_normalize_deep_merge_at_default_recursion_limit():
+    # (\x:o y:o. s (s (... y))) a leaves \y. s (s (... y)), which merges
+    # into the enclosing block when there is one
+    deep: Term = Var("y")
+    for _ in range(3_000):
+        deep = App(Var("s"), (deep,))
+    redex = App(Abs((("x", GROUND), ("y", GROUND)), deep), (Var("a"),))
+    outer = (("a", GROUND), ("s", arrow(GROUND, GROUND)))
+    with recursion_limit(1_000):
+        results = [normalize(t, strategy) for t in (redex, Abs(outer, redex)) for strategy in Strategy]
+    contractum = Abs((("y", GROUND),), deep)
+    merged = Abs(outer + (("y", GROUND),), deep)
+    assert results == [contractum, contractum, merged, merged]
 
 
 # --------------------------------------------------------------------------
@@ -641,14 +690,6 @@ def test_block_whose_body_is_a_binder_bound_to_an_abstraction():
         r"(\a:o->o b'1:o b:o. a) (\b:o. b) c",
     ):
         _assert_driver_matches_reference(parse(text))
-
-
-def test_block_not_taken_on_non_canonical_input():
-    # the first step regroups \u. \v. around x's argument; one walk would
-    # regroup after y's argument is in place, flattening (h c) d as well
-    t = parse(r"(\x:o y:o. f (\u:o. \v:o. g x y)) a ((h c) d)", canonical=False)
-    _assert_driver_matches_reference(t)
-    assert normalize(t) == App(Var("f"), (parse(r"\u:o v:o. g a ((h c) d)", canonical=False),))
 
 
 def test_block_size_cut_crossed_only_mid_block():

@@ -18,13 +18,13 @@ from safelc.syntax import (
     Term,
     Var,
     _position,
-    _regroup,
     _scan,
     all_names,
     alpha_eq,
     arrow,
     canonicalize,
     fresh_names,
+    mk_abs,
     parse,
     parse_env,
     parse_type,
@@ -32,7 +32,7 @@ from safelc.syntax import (
     primed,
     type_text,
 )
-from termgen import copy_term, is_canonical, recursion_limit, terms
+from termgen import copy_term, is_canonical, recursion_limit, term_strategy, terms
 
 O = GROUND
 OO = SimpleType((O,))
@@ -198,8 +198,117 @@ def test_canonicalize_idempotent(t):
 def test_canonicalize_returns_canonical_input_itself(t):
     c = canonicalize(t)
     assert canonicalize(c) is c
-    # the result is the rebuild canonicalize once ran on every input
-    assert c == _regroup(t)
+    # on names without a prime, the result is the rebuild canonicalize
+    # once ran on every input
+    assert c == _reference_regroup(t)
+
+
+# --------------------------------------------------------------------------
+# the bottom-up merge against the chain-collecting one
+#
+# `_reference_regroup` is the rebuild `canonicalize` once ran, kept
+# verbatim: it collects a whole chain of nested blocks, then renames the
+# shadowed binders over all the names of the chain.  `canonicalize` now
+# folds `mk_abs`, which merges one level at a time.  Both prime right to
+# left, so they agree exactly unless a name the fold primes at an inner
+# level is already a binder further out (`\x'1. \x. \x. x` gives
+# `x'1'1 x'1 x` by the fold and `x'1 x'2 x` by the chain), which only
+# happens on names that contain a prime; then the two are alpha-equal.
+
+
+def _reference_regroup(term: Term) -> Term:
+    """`canonicalize` without the check: rebuild every node."""
+    if isinstance(term, Var):
+        return term
+    if isinstance(term, Abs):
+        binders = list(term.binders)
+        body = term.body
+        while isinstance(body, Abs):
+            binders.extend(body.binders)
+            body = body.body
+        body = _reference_regroup(body)
+        # later binders win a name clash; rename the shadowed earlier ones
+        seen: set[str] = set()
+        taken = set(n for n, _ in binders) | all_names(body)
+        for i in range(len(binders) - 1, -1, -1):
+            name, ty = binders[i]
+            if name in seen:
+                binders[i] = (primed(name, taken), ty)
+            else:
+                seen.add(name)
+        out = Abs(tuple(binders), body)
+        return out
+    if isinstance(term, App):
+        head = _reference_regroup(term.head)
+        args = tuple(_reference_regroup(a) for a in term.args)
+        while isinstance(head, App):
+            args = head.args + args
+            head = head.head
+        return App(head, args)
+    raise TypeError(f"not a term: {term!r}")
+
+
+# binder names that shadow one another, some already primed
+_primed_terms = term_strategy(st.sampled_from(["x", "x'1", "x'2", "y", "y'1", "f"]), 8)
+
+
+@hyp.settings(max_examples=300)
+@hyp.given(_primed_terms)
+def test_canonicalize_alpha_equal_to_reference_on_primed_names(t):
+    c = canonicalize(t)
+    assert is_canonical(c)
+    assert alpha_eq(c, _reference_regroup(t))
+    assert c.free_names == t.free_names
+
+
+def test_canonicalize_primes_where_the_chain_would_not():
+    t = Abs((("x'1", O),), Abs((("x", O),), Abs((("x", O),), Var("x"))))
+    assert canonicalize(t) == Abs((("x'1'1", O), ("x'1", O), ("x", O)), Var("x"))
+    assert _reference_regroup(t) == Abs((("x'1", O), ("x'2", O), ("x", O)), Var("x"))
+
+
+def test_mk_abs_merges_one_level_and_reads_names_only_on_a_clash(monkeypatch):
+    walked = []
+
+    def counted(term):
+        walked.append(term)
+        return all_names(term)
+
+    monkeypatch.setattr("safelc.syntax.all_names", counted)
+    body = parse(r"\y:o x:o. f x y'1")
+    assert mk_abs((("a", O), ("b", OO)), body) == parse(r"\a:o b:o->o y:o x:o. f x y'1")
+    assert walked == []
+    # the outer x and y are shadowed: primed right to left, past y'1
+    merged = mk_abs((("x", O), ("a", O), ("y", OO)), body)
+    assert merged == parse(r"\x'1:o a:o y'2:o->o y:o x:o. f x y'1")
+    assert walked == [body]
+    # a body that is no block is not walked either
+    assert mk_abs((("x", O),), Var("x")) == Abs((("x", O),), Var("x"))
+    assert mk_abs((), body) is body
+    assert len(walked) == 1
+
+
+def _split_block_nest(depth: int) -> Term:
+    r"""f (\x0:o. \y0:o. f (\x1:o. \y1:o. ... z)), each block split in two."""
+    t: Term = Var("z")
+    for i in reversed(range(depth)):
+        t = App(Var("f"), (Abs(((f"x{i}", O),), Abs(((f"y{i}", O),), t)),))
+    return t
+
+
+def test_canonicalize_deep_non_canonical_input_at_default_recursion_limit():
+    n = 2_000
+    t = _split_block_nest(n)
+    with recursion_limit(1_000):
+        c = canonicalize(t)
+        assert is_canonical(c)
+        blocks = 0
+        while isinstance(c, App):
+            (c,) = c.args
+            assert c.binder_names == (f"x{blocks}", f"y{blocks}")
+            c = c.body
+            blocks += 1
+    assert (blocks, c) == (n, Var("z"))
 
 
 @hyp.given(terms)
