@@ -590,6 +590,17 @@ def test_non_canonical_input_reduces_as_its_canonical_form():
     assert normalize(raw[1]) == parse(r"f (\u:o v:o. g a (h c d))")
 
 
+def test_driver_restarts_under_non_canonical_nesting():
+    # an application in head position and a block directly in a body: the
+    # regrouping a contraction under either once forced mid-walk is now done
+    # on entry, and the chain and each size cut are the reference's
+    t = parse(r"((f ((\x:o. x) a)) b) (\u:o. \v:o. (\w:o. w) v)", canonical=False)
+    _assert_driver_matches_reference(t)
+    assert normalize(t) == parse(r"f a b (\u:o v:o. v)")
+    for m in range(1, t.size + 1):
+        _assert_driver_matches_reference(t, ReductionBudget(max_term_size=m))
+
+
 def test_normalize_deep_numeral_at_default_recursion_limit():
     # x*y at (30, 30) builds a 900-deep numeral, spine first from the outside
     applied = mk_app(
@@ -675,6 +686,15 @@ def test_block_falls_back_where_a_step_renames(single_steps):
     # here an inner binder of the body is renamed instead
     t = parse(r"(\x:o y:o. f (\z:o. x) y) z b")
     assert normalize(t) == parse(r"f (\z'1:o. z) b")
+    _assert_driver_matches_reference(t)
+
+
+def test_block_not_taken_on_non_canonical_input(single_steps):
+    # the written grouping is never walked as a block: \u. \v. and (h c) d
+    # are regrouped on entry, and the one walk runs on the canonical form
+    t = parse(r"(\x:o y:o. f (\u:o. \v:o. g x y)) a ((h c) d)", canonical=False)
+    assert _normalize_counted(t) == (parse(r"f (\u:o v:o. g a (h c d))"), 2)
+    assert single_steps == []
     _assert_driver_matches_reference(t)
 
 
