@@ -85,13 +85,13 @@ def _user_text(as_json: bool, rejected, prefix: str = ""):
         _fail(EXIT_BUDGET, "input nested too deeply", as_json)
 
 
-def _load_term(path: str, as_json: bool):
+def _load_term(path: str, as_json: bool, canonical: bool = True):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot read {path}: {exc}", as_json)
     with _user_text(as_json, ParseError, f"{path}: "):
-        return parse(text)
+        return parse(text, canonical)
 
 
 def _load_env(text: str, as_json: bool):
@@ -150,7 +150,8 @@ def main():
 def check(termfile, env_text, trace, as_json):
     """Safety verdict and simple type of the term in TERMFILE."""
     env = _load_env(env_text, as_json)
-    term = _load_term(termfile, as_json)
+    # judged as written: a block split over nested abstractions is split
+    term = _load_term(termfile, as_json, canonical=False)
     verdict = safety_check(env, term)
     failures = [e.describe() for e in verdict.failures]
     lines = [verdict.describe()]

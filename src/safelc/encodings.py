@@ -196,6 +196,7 @@ def parse_polynomial(text: str) -> Polynomial:
     A factor is a decimal coefficient, a variable, or a power `x^3`.
     Variables are ordered by first appearance; like monomials combine.
     """
+    text = text.rstrip()
     pos = 0
     tokens: list[str] = []
     while pos < len(text):

@@ -22,14 +22,15 @@ survive.
 
 ``parse``, ``parse_type`` and ``parse_env`` read the text in one pass over
 its tokens with an explicit stack, so nesting depth is not limited by
-Python's recursion limit.  The parser builds the written grouping and
-notes whether it is canonical; only when it is not (an abstraction stands
-directly in an abstraction body or an application in head position) does
-it run the rebuild that ``canonicalize`` uses, a bottom-up fold over
-``mk_abs`` and ``mk_app``.  A term's ``size`` is set when its node is
-built, from the sizes of its children, which always exist first.
-Only ``free_names`` is filled lazily, once per node, bottom-up without
-recursion; keeping it lazy keeps the nodes small.
+Python's recursion limit.  The parser builds the written grouping; only
+when it is not canonical (an abstraction stands directly in an
+abstraction body or an application in head position) does it run the
+rebuild that ``canonicalize`` uses, a bottom-up fold over ``mk_abs`` and
+``mk_app``.  A term's ``size`` and whether it is ``canonical`` are set
+when its node is built, from its children's, which always exist first,
+so no code walks a term to learn either.  Only ``free_names`` is filled
+lazily, once per node, bottom-up without recursion; keeping it lazy
+keeps the nodes small.
 
 >>> parse(r"\f:o->o. \x:o. f x")
 Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name='x'),)))
@@ -175,9 +176,12 @@ class _measure(_cached):
 @dataclass(frozen=True)
 class Term:
     """A term node.  Every node has `size`, its node count with binders
-    included (the measure budgets use), set when the node is built."""
+    included (the measure budgets use), and `canonical`, whether no Abs
+    stands directly in an Abs body and no App as an App head anywhere in
+    it; both are set when the node is built."""
 
     size: ClassVar[int]
+    canonical: ClassVar[bool]
 
     @_measure
     def free_names(self) -> frozenset[str]:
@@ -197,11 +201,13 @@ class Var(Term):
     name: str
 
     size = 1
+    canonical = True
 
 
 # Abs and App write their own __init__: it checks the node, stores the
 # fields straight into the instance dict, as the frozen dataclass __init__
-# would through object.__setattr__, and sets `size` from the children's.
+# would through object.__setattr__, and sets `size` and `canonical` from
+# the children's.
 
 
 @dataclass(frozen=True, init=False)
@@ -219,6 +225,7 @@ class Abs(Term):
         fields["binders"] = binders
         fields["body"] = body
         fields["size"] = 1 + len(binders) + body.size
+        fields["canonical"] = type(body) is not Abs and body.canonical
 
     @_cached
     def binder_names(self) -> tuple[str, ...]:
@@ -234,12 +241,15 @@ class App(Term):
         if not args:
             raise ValueError("App needs at least one argument")
         size = 1 + head.size
+        canonical = type(head) is not App and head.canonical
         for a in args:
             size += a.size
+            canonical = canonical and a.canonical
         fields = self.__dict__
         fields["head"] = head
         fields["args"] = args
         fields["size"] = size
+        fields["canonical"] = canonical
 
 
 TypeEnv = Mapping[str, SimpleType]
@@ -309,35 +319,15 @@ def canonicalize(term: Term) -> Term:
     one block, the earlier (necessarily vacuous, since the later binder
     shadows it over its entire scope) binder is renamed with the primed
     fresh-name scheme, as `mk_abs` does.  A term that is already
-    canonical (no Abs directly in an Abs body, no App as an App head) is
-    returned as it is, after one pass that rebuilds nothing.
+    canonical is returned as it is, on the flag its node carries.
     """
-    return term if _is_canonical(term) else _regroup(term)
-
-
-def _is_canonical(term: Term) -> bool:
-    """No Abs directly in an Abs body and no App as an App head."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is App:
-            if type(t.head) is App:
-                return False
-            stack.append(t.head)
-            stack.extend(t.args)
-        elif kind is Abs:
-            if type(t.body) is Abs:
-                return False
-            stack.append(t.body)
-        elif kind is not Var:
-            raise TypeError(f"not a term: {t!r}")
-    return True
+    return term if term.canonical else _regroup(term)
 
 
 def _regroup(term: Term) -> Term:
-    """`canonicalize` without the check: rebuild every node bottom-up
-    with `mk_abs` and `mk_app`, with an explicit stack."""
+    """Rebuild every non-canonical node bottom-up with `mk_abs` and
+    `mk_app`, with an explicit stack; canonical subterms are kept as the
+    same objects."""
     done: list[Term] = []  # rebuilt subterms, in order
     todo: list = [term]  # a term to enter, or (term,) to rebuild
     while todo:
@@ -351,16 +341,14 @@ def _regroup(term: Term) -> Term:
                 args = tuple(done[-n:])
                 del done[-n:]
                 done.append(mk_app(done.pop(), args))
-        elif type(t) is Var:
+        elif t.canonical:
             done.append(t)
         elif type(t) is Abs:
             todo += ((t,), t.body)
-        elif type(t) is App:
+        else:
             todo.append((t,))
             todo += reversed(t.args)
             todo.append(t.head)
-        else:
-            raise TypeError(f"not a term: {t!r}")
     return done[0]
 
 
@@ -531,15 +519,12 @@ class _Parser:
 
     # term   ::= '\' (ident ':' type)+ '.' term | atom+
     # atom   ::= '(' term ')' | ident
-    def term_at(self, i: int) -> tuple[Term, int, bool]:
-        """The term starting at token i, the index after it, and whether
-        its grouping is non-canonical (an Abs directly in an Abs body, or
-        an App as an App head)."""
+    def term_at(self, i: int) -> tuple[Term, int]:
+        """The term starting at token i, as written, and the index after it."""
         tokens, reserved = self.tokens, _RESERVED
         # frames: a binder tuple waits for its body, a list gathers the
         # atoms of an application, None waits for a ')'
         stack: list = []
-        regrouped = False
         while True:
             tok = tokens[i]
             if tok == "\\":
@@ -567,13 +552,11 @@ class _Parser:
                     stack.pop()
                     t = atoms[0]
                     if len(atoms) > 1:
-                        regrouped = regrouped or isinstance(t, App)
                         t = App(t, tuple(atoms[1:]))
                     while stack and type(stack[-1]) is tuple:
-                        regrouped = regrouped or isinstance(t, Abs)
                         t = Abs(stack.pop(), t)
                     if not stack:
-                        return t, i, regrouped
+                        return t, i
                     if tokens[i] != ")":
                         self.fail(i, f"expected ')', found {tokens[i]!r}")
                     i += 1
@@ -609,9 +592,9 @@ def parse(text: str, canonical: bool = True) -> Term:
     p = _Parser(text)
     if p.tokens[0] is None:
         p.fail(0, "empty input")
-    t, i, regrouped = p.term_at(0)
+    t, i = p.term_at(0)
     p.expect_end(i)
-    return _regroup(t) if canonical and regrouped else t
+    return _regroup(t) if canonical and not t.canonical else t
 
 
 def parse_type(text: str) -> SimpleType:

@@ -60,6 +60,30 @@ def test_check_open_term_with_env(runner, lamfile):
     assert r.output.splitlines()[0] == "AlmostSafe : o -> o"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_check_judges_the_grouping_as_written(runner, lamfile, as_json):
+    # the split chain fails the block's side condition at its inner block;
+    # the block form is Safe
+    violation = "(abs) body VIOLATION: free x order 0 < term order 2"
+    flags = ["--json"] if as_json else []
+    split = invoke(runner, ["check", lamfile("split.lam", r"\x:o. \f:o->o. f x")] + flags)
+    block = invoke(runner, ["check", lamfile("block.lam", r"\x:o f:o->o. f x")] + flags)
+    assert (split.exit_code, block.exit_code) == (1, 0)
+    if as_json:
+        data = json.loads(split.output)
+        assert data["level"] == "UnsafeTypable"
+        assert data["type"] == "o -> (o -> o) -> o"
+        assert data["failures"] == [violation]
+        assert json.loads(block.output) == {
+            "level": "Safe",
+            "type": "o -> (o -> o) -> o",
+            "failures": [],
+        }
+    else:
+        assert split.output == f"UnsafeTypable : o -> (o -> o) -> o\n  {violation}\n"
+        assert block.output == "Safe : o -> (o -> o) -> o\n"
+
+
 def test_check_bad_env_is_usage_error(runner, lamfile):
     path = lamfile("id.lam", r"\x:o. x")
     r = invoke(runner, ["check", path, "--env", "z=o"])
@@ -386,6 +410,28 @@ def test_poly_missing_value_is_usage_error(runner, as_json):
 def test_poly_parse_error(runner):
     r = invoke(runner, ["poly", "x ** y"])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("text", ["x + y ", "x + y\n", " x + y"])
+def test_poly_accepts_surrounding_whitespace(runner, text, as_json):
+    r = invoke(runner, ["poly", text, "--at", "x=1,y=2"] + (["--json"] if as_json else []))
+    assert r.exit_code == 0
+    if as_json:
+        data = json.loads(r.output)
+        assert (data["variables"], data["value"]) == (["x", "y"], 3)
+    else:
+        assert r.output.splitlines()[-1] == "p(x=1, y=2) = 3"
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_poly_blank_is_empty_polynomial(runner, as_json):
+    r = invoke(runner, ["poly", " \n"] + (["--json"] if as_json else []))
+    assert r.exit_code == 2
+    if as_json:
+        assert json.loads(r.output) == {"error": "empty polynomial"}
+    else:
+        assert r.output.endswith("error: empty polynomial\n")
 
 
 @pytest.mark.parametrize("as_json", [False, True])

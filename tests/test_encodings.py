@@ -120,6 +120,14 @@ def test_parse_polynomial_errors():
             parse_polynomial(bad)
 
 
+def test_parse_polynomial_accepts_surrounding_whitespace():
+    for text in ("x + y ", "x + y\n", " x + y\t", "x\n+ y"):
+        assert parse_polynomial(text) == parse_polynomial("x + y")
+    for blank in (" ", "\n", " \t\n"):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            parse_polynomial(blank)
+
+
 def test_parse_polynomial_trailing_star_is_a_value_error():
     for bad in ("x*", "2*", "x^2*", "x + y*", "x * y *"):
         with pytest.raises(ValueError, match=r"trailing '\*'"):

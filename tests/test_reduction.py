@@ -403,6 +403,23 @@ def test_strategies_agree_within_budget(t):
     assert is_canonical(a) and is_canonical(b)
 
 
+def test_every_reduct_and_eta_long_form_is_canonical():
+    # the engines rely on each node's `canonical` flag: every term they hand
+    # back must carry it, and the walk must agree
+    population = [(e.env, e.term) for e in HAND_CORPUS]
+    population += [({}, t) for t in generate_safe_corpus(300, 7)]
+    for env, t in population:
+        for strategy in Strategy:
+            for u in _chain(reduction_sequence(t, strategy, SMALL)):
+                if isinstance(u, Term):
+                    assert u.canonical and is_canonical(u)
+        try:
+            long = eta_long(env, t)
+        except TypeCheckError:
+            continue
+        assert long.canonical and is_canonical(long)
+
+
 # --------------------------------------------------------------------------
 # the step driver against the root-first reference
 #

@@ -30,6 +30,7 @@ from safelc.syntax import (
     parse_type,
     pretty,
     primed,
+    subterms,
     type_text,
 )
 from termgen import copy_term, is_canonical, recursion_limit, term_strategy, terms
@@ -201,6 +202,43 @@ def test_canonicalize_returns_canonical_input_itself(t):
     # on names without a prime, the result is the rebuild canonicalize
     # once ran on every input
     assert c == _reference_regroup(t)
+
+
+# --------------------------------------------------------------------------
+# the `canonical` flag each node records when it is built, against the
+# walk `is_canonical` as the reference
+
+
+@hyp.given(terms)
+def test_canonical_flag_matches_the_walk(t):
+    written = parse(pretty(t), canonical=False)
+    for s in (*subterms(t), *subterms(written)):
+        assert s.canonical == is_canonical(s)
+
+
+@hyp.given(terms)
+def test_regroup_hands_canonical_children_back_as_the_same_objects(t):
+    # each canonical child that no merge or flattening absorbs (an Abs
+    # body that is no Abs, an App head that is no App, an App argument)
+    # comes back as the very same object
+    kept = {id(s) for s in subterms(canonicalize(t))}
+    for parent in subterms(t):
+        if parent.canonical:
+            continue
+        if isinstance(parent, Abs):
+            children = () if isinstance(parent.body, Abs) else (parent.body,)
+        else:
+            children = parent.args if isinstance(parent.head, App) else (parent.head, *parent.args)
+        for child in children:
+            assert not child.canonical or id(child) in kept
+
+
+def test_regroup_keeps_a_canonical_argument_and_body():
+    arg, body = parse(r"\y:o. g y"), parse("h a b")
+    t = App(App(Var("f"), (arg,)), (Abs((("x", O),), Abs((("z", O),), body)),))
+    c = canonicalize(t)
+    assert c == parse(r"f (\y:o. g y) (\x:o z:o. h a b)")
+    assert c.args[0] is arg and c.args[1].body is body
 
 
 # --------------------------------------------------------------------------
