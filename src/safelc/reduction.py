@@ -503,9 +503,12 @@ def normalize(
 # is applied to n fresh variables and the resulting ground neutral is read
 # back argument by argument.  Bound variables are de Bruijn levels (ints)
 # and free ones keep their names (strs); the binders themselves are implied
-# by the type, so a normal form is a nested tuple (head, arg1, .., argk)
-# and two well-typed terms of one type are beta-eta equal exactly when
-# their tuples are equal (Berger & Schwichtenberg, LICS 1991).
+# by the type, so a normal form is its application nodes in pre-order,
+# each a head and its number of arguments, kept in one flat list, and two
+# well-typed terms of one type are beta-eta equal exactly when their lists
+# are equal (Berger & Schwichtenberg, LICS 1991).  Read-back keeps the
+# nodes still to visit on an explicit stack, so neither it nor the
+# comparison recurses however deep the normal form is.
 
 
 class _Closure:
@@ -620,44 +623,55 @@ class _Evaluator:
                 thunk.value = f
                 thunk.term = thunk.env = None
 
-    def read_back(self, value, ty: SimpleType, level: int) -> tuple:
-        """The eta-long normal form of `value` at type `ty`, as a tuple."""
-        if type(value) is _Thunk:
-            value = self.force(value)
-        arity = len(ty.arguments)
-        if arity:
-            fresh = tuple(
-                _Neutral(level + i, t, ()) for i, t in enumerate(ty.arguments)
-            )
-            level += arity
-            if type(value) is _Neutral:
-                value = _Neutral(value.head, value.type, value.args + fresh)
-            else:
-                values = value.bound + fresh
-                n = len(value.term.binders)
-                env = self.enter(value, values, True)
-                value = self.eval(value.term.body, env, values[n:], True)
-        # one node for the head, one for an application, 1 + arity for a block
-        self.size += 1 + (arity + 1 if arity else 0) + (1 if value.args else 0)
-        if self.size > self.budget.max_term_size:
-            raise BudgetExceededError(
-                self.steps,
-                self.size,
-                f"normal form size exceeds budget {self.budget.max_term_size} "
-                f"after {self.steps} steps",
-            )
-        out = [value.head]
-        for a, t in zip(value.args, value.type.arguments):
-            out.append(self.read_back(a, t, level))
-        return tuple(out)
+    def read_back(self, value, ty: SimpleType) -> list:
+        """The eta-long normal form of `value` at type `ty`, flat.
+
+        Each node is read back in pre-order, as a head followed by its
+        number of arguments, with the nodes still to read on a stack.
+        """
+        out = []
+        todo = [(value, ty, 0)]
+        while todo:
+            value, ty, level = todo.pop()
+            if type(value) is _Thunk:
+                value = self.force(value)
+            arity = len(ty.arguments)
+            if arity:
+                fresh = tuple(
+                    _Neutral(level + i, t, ()) for i, t in enumerate(ty.arguments)
+                )
+                level += arity
+                if type(value) is _Neutral:
+                    value = _Neutral(value.head, value.type, value.args + fresh)
+                else:
+                    values = value.bound + fresh
+                    n = len(value.term.binders)
+                    env = self.enter(value, values, True)
+                    value = self.eval(value.term.body, env, values[n:], True)
+            args = value.args
+            # one node for the head, one for an application, 1 + arity for a block
+            self.size += 1 + (arity + 1 if arity else 0) + (1 if args else 0)
+            if self.size > self.budget.max_term_size:
+                raise BudgetExceededError(
+                    self.steps,
+                    self.size,
+                    f"normal form size exceeds budget {self.budget.max_term_size} "
+                    f"after {self.steps} steps",
+                )
+            out.append(value.head)
+            out.append(len(args))
+            wanted = value.type.arguments
+            for i in range(len(args) - 1, -1, -1):  # the first argument on top
+                todo.append((args[i], wanted[i], level))
+        return out
 
 
 def _normal_form(
     env: TypeEnv, term: Term, ty: SimpleType, budget: ReductionBudget
-) -> tuple:
+) -> list:
     values = {name: _Neutral(name, t, ()) for name, t in env.items()}
     evaluator = _Evaluator(budget)
-    return evaluator.read_back(evaluator.eval(term, values), ty, 0)
+    return evaluator.read_back(evaluator.eval(term, values), ty)
 
 
 def beta_eta_equal(
@@ -669,9 +683,11 @@ def beta_eta_equal(
     """Beta-eta equality by normalization by evaluation.
 
     Both sides are type-checked; different types raise TypeCheckError.
-    Each side is then evaluated into closures, with the free variables
-    of `env` as neutral values, and its eta-long beta-normal form is read
-    back from the common type; the two forms are compared structurally.
+    A closed side typed before, as `safety_check` types it, keeps its
+    type and is not walked again.  Each side is then evaluated into
+    closures, with the free variables of `env` as neutral values, and its
+    eta-long beta-normal form is read back from the common type into a
+    flat list; the two lists are compared.
     Each side is metered against `budget` on its own: one step per
     closure entered with an argument from the term (one block
     contraction) counts against max_steps, and the nodes of its read-back
@@ -680,7 +696,7 @@ def beta_eta_equal(
     """
     ta = simple_type_of(env, a)
     tb = simple_type_of(env, b)
-    if ta != tb:
+    if ta is not tb:
         raise TypeCheckError(
             f"compared terms have different types: {ta} vs {tb}"
         )

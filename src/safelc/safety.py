@@ -30,7 +30,10 @@ walk only when a verdict's ``trace`` is first read, as ``safelc check
 --trace`` does, or its failures are listed for a term that is not Safe.
 ``eta_long`` types the term in the same walk, which also notes whether
 it is eta-long already, and expands it, when it is not, with an explicit
-stack.
+stack.  Every walk that types a term from the empty context keeps the
+type on the term as ``closed_type``, so ``simple_type_of`` types a closed
+term once however often it is asked: ``beta_eta_equal`` after
+``safety_check`` does not walk the left side again.
 """
 
 from __future__ import annotations
@@ -259,8 +262,11 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
     the term is eta-long, and otherwise the types of its abstractions in
     head position, in pre-order.  Locations are spelled out for each trace
     entry; otherwise they are spelled out from the stack on an error.
+    From an empty `ctx`, the type is also kept on `term` as its
+    `closed_type`.
     """
     levels, traced = mode >= _LEVEL, mode == _TRACE
+    closed = not ctx
     eta = mode == _ETA  # until a block or an argument shows otherwise
     redexes: Optional[list] = [] if eta else None
     if levels:
@@ -277,12 +283,12 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
     while True:
         # go down through blocks to the variable they start with
         while True:
-            if isinstance(t, App):
+            if type(t) is App:
                 frame = [t, loc, None, 0, None, 0]
-                if redexes is not None and isinstance(t.head, Abs):
+                if redexes is not None and type(t.head) is Abs:
                     redexes.append(frame)
                 t, step = t.head, "head"
-            elif isinstance(t, Abs):
+            elif type(t) is Abs:
                 binders = t.binders
                 # the entries the binders shadow, None where nothing is shadowed
                 frame = [t, loc, None, 0, tuple(map(ctx.get, map(_binder_name, binders)))]
@@ -299,7 +305,7 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 frame[3] = len(trace)
                 trace.append(None)  # this block's entry, filled in on leaving
                 loc = f"{loc}.{step}" if loc else step
-        if not isinstance(t, Var):
+        if type(t) is not Var:
             raise TypeError(f"not a term: {t!r}")
         ty = ctx.get(t.name)
         if ty is None:
@@ -321,7 +327,7 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
         while stack:
             frame = stack[-1]
             node = frame[0]
-            if isinstance(node, Abs):
+            if type(node) is Abs:
                 for (n, _), old in zip(node.binders, frame[4]):
                     if old is None:
                         del ctx[n]
@@ -341,17 +347,17 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                     at = frame[1]
                 while True:
                     if i >= 0:
-                        if i >= len(wanted) or (ty is not wanted[i] and ty != wanted[i]):
+                        if i >= len(wanted) or ty is not wanted[i]:
                             frame[5] = i
                             where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
                             raise _arg_error(head, len(args), i, ty, where)
-                        if eta and ty.arguments and not isinstance(args[i], Abs):
+                        if eta and ty.arguments and type(args[i]) is not Abs:
                             eta = False  # an argument of arrow type, not abstracted
                     i += 1
                     if i == len(args):
                         break
                     t = args[i]
-                    if not isinstance(t, Var):
+                    if type(t) is not Var:
                         break
                     ty = ctx.get(t.name)
                     if ty is None:
@@ -408,8 +414,10 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
             elif traced:
                 trace[frame[3]] = TraceEntry(rule, frame[1], ty.order)
         else:
+            if closed:
+                term.__dict__["closed_type"] = ty
             if not levels:
-                if redexes is None or (eta and (not ty.arguments or isinstance(term, Abs))):
+                if redexes is None or (eta and (not ty.arguments or type(term) is Abs)):
                     return ty, None, None
                 return ty, None, [f[4] for f in redexes]
             if inner_failed:
@@ -421,14 +429,17 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
             return ty, level, trace
 
 
-def _type_of(ctx: dict[str, SimpleType], term: Term) -> SimpleType:
-    """The type of `term` in `ctx`; `ctx` is as it was when this returns."""
-    return _walk(ctx, term, _TYPE)[0]
-
-
 def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
-    """The unique simple type of a Church-annotated term, or a TypeCheckError."""
-    return _type_of(dict(env), term)
+    """The unique simple type of a Church-annotated term, or a TypeCheckError.
+
+    A closed term typed before, by any of the walks here, is not walked
+    again: its type is the `closed_type` the first walk kept on it.
+    """
+    if not env:
+        ty = getattr(term, "closed_type", None)
+        if ty is not None:
+            return ty
+    return _walk(dict(env), term, _TYPE)[0]
 
 
 def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:

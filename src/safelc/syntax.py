@@ -32,6 +32,10 @@ so no code walks a term to learn either.  Only ``free_names`` is filled
 lazily, once per node, bottom-up without recursion; keeping it lazy
 keeps the nodes small.
 
+Simple types are interned: there is one ``SimpleType`` object per type,
+so building a type is a table lookup and two types are compared with
+``is``.
+
 >>> parse(r"\f:o->o. \x:o. f x")
 Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name='x'),)))
 >>> pretty(parse(r"(\x:o. x) ((\y:o. y) z)"))
@@ -41,8 +45,8 @@ Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Mapping
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, Mapping, Optional
 
 
 class ParseError(Exception):
@@ -59,26 +63,49 @@ class ParseError(Exception):
 # Types
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class SimpleType:
     """A simple type over the single atom ``o``, curried-normalized.
 
     The result of every type is the ground atom, so a type is just the
     tuple of its argument types; ``o`` is ``SimpleType(())`` and
-    ``A -> B`` is ``SimpleType((A,) + B.arguments)``.  The order is set
-    when the type is built, from the orders of its arguments.
+    ``A -> B`` is ``SimpleType((A,) + B.arguments)``.
+
+    Types are interned: ``SimpleType(arguments)`` looks its arguments up
+    in a module table and returns the one object for that type, built,
+    with its order, the first time it is asked for.  So two types are
+    equal exactly when they are the same object, and ``==`` and ``hash``
+    are those of identity; ``pickle`` and ``copy`` hand back the interned
+    object too.  A type is immutable.
     """
 
-    arguments: tuple["SimpleType", ...]
-    order: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("arguments", "order")
 
-    def __init__(self, arguments: tuple["SimpleType", ...] = ()):
+    arguments: tuple["SimpleType", ...]
+    order: int
+
+    def __new__(cls, arguments: tuple["SimpleType", ...] = ()):
+        if type(arguments) is not tuple:
+            arguments = tuple(arguments)
+        t = _TYPES.get(arguments)
+        if t is not None:
+            return t
         order = 0
         for a in arguments:
             if a.order >= order:
                 order = a.order + 1
-        _set(self, "arguments", arguments)
-        _set(self, "order", order)
+        t = object.__new__(cls)
+        _set(t, "arguments", arguments)
+        _set(t, "order", order)
+        return _TYPES.setdefault(arguments, t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SimpleType, (self.arguments,)
 
     @property
     def is_ground(self) -> bool:
@@ -91,7 +118,8 @@ class SimpleType:
         return type_text(self)
 
 
-_set = object.__setattr__  # SimpleType is frozen
+_TYPES: dict[tuple[SimpleType, ...], SimpleType] = {}  # every type built, by its arguments
+_set = object.__setattr__  # SimpleType is immutable
 GROUND = SimpleType()
 
 
@@ -178,10 +206,14 @@ class Term:
     """A term node.  Every node has `size`, its node count with binders
     included (the measure budgets use), and `canonical`, whether no Abs
     stands directly in an Abs body and no App as an App head anywhere in
-    it; both are set when the node is built."""
+    it; both are set when the node is built.  `closed_type` is the simple
+    type of a closed, well-typed term, kept in the node's instance dict
+    the first time :mod:`safelc.safety` types the term from an empty
+    context, and None until then and on every other term."""
 
     size: ClassVar[int]
     canonical: ClassVar[bool]
+    closed_type: ClassVar[Optional[SimpleType]] = None
 
     @_measure
     def free_names(self) -> frozenset[str]:

@@ -5,6 +5,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+from safelc import safety
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import church_nat, compile_polynomial, decode_nat, parse_polynomial
 from safelc.reduction import (
@@ -296,6 +297,33 @@ def test_beta_eta_equal_size_budget():
     with pytest.raises(BudgetExceededError) as e:
         beta_eta_equal({}, CHURCH_FOUR, CHURCH_FOUR, ReductionBudget(max_term_size=11))
     assert e.value.size > 11
+
+
+def test_beta_eta_equal_types_a_checked_left_side_once(monkeypatch):
+    left = parse(r"\f:o->o x:o. (\g:o->o y:o. g (g y)) f x")
+    right = parse(r"\f:o->o x:o. f (f x)")
+    assert safety_check({}, left).level is Level.SAFE
+    walked = []
+    walk = safety._walk
+
+    def counted(ctx, t, mode):
+        walked.append(t)
+        return walk(ctx, t, mode)
+
+    monkeypatch.setattr(safety, "_walk", counted)
+    assert beta_eta_equal({}, left, right)
+    assert walked == [right]
+    assert beta_eta_equal({}, left, right)
+    assert walked == [right]
+
+
+def test_beta_eta_equal_of_deep_numeral_at_default_recursion_limit():
+    # read-back and the comparison of the flat normal forms do not recurse
+    n = 10_000
+    a, b, c = church_nat(n), church_nat(n), church_nat(n - 1)
+    with recursion_limit(1_000):
+        assert beta_eta_equal({}, a, b)
+        assert not beta_eta_equal({}, a, c)
 
 
 # equality against the reference path kept in the code: plain

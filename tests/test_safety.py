@@ -43,7 +43,7 @@ from safelc.syntax import (
     pretty,
     subterms,
 )
-from termgen import homogeneity_check, names, recursion_limit, terms, types
+from termgen import copy_term, homogeneity_check, names, recursion_limit, terms, types
 
 
 def check(src, env="", canonical=True):
@@ -375,6 +375,8 @@ def _assert_checkers_match_reference(env: TypeEnv, term: Term):
     assert got == want
     assert (got.failures, got.first_failure) == (want.failures, want.first_failure)
     want = _typed(env, term, lambda env, t: _reference_type_of(dict(env), t))
+    # cold on a copy, which no walk has typed, and warm after the check
+    assert _typed(env, copy_term(term), simple_type_of) == want
     assert _typed(env, term, simple_type_of) == want
 
 
@@ -404,6 +406,60 @@ def test_checkers_match_reference_on_conditional_candidates():
 def test_checkers_match_reference_on_criterion_5_left_sides():
     for f in itertools.islice(enumerate_qbfs(3, 3), 0, 200 * 212, 212):
         _assert_checkers_match_reference({}, equality_instance(f)[0])
+
+
+# the closed type kept on the term
+
+
+def test_simple_type_of_reads_the_type_safety_check_kept(monkeypatch):
+    closed = [entry.term for entry in HAND_CORPUS if not entry.env]
+    verdicts = [safety_check({}, t) for t in closed]
+
+    def no_walk(*args):
+        raise AssertionError("a term typed before was walked again")
+
+    monkeypatch.setattr(safety, "_walk", no_walk)
+    typed = 0
+    for t, verdict in zip(closed, verdicts):
+        if verdict.level is Level.ILL_TYPED:
+            assert "closed_type" not in vars(t)
+        else:
+            assert simple_type_of({}, t) is verdict.type
+            typed += 1
+    assert typed >= 10
+
+
+def test_ill_typed_and_open_terms_keep_no_closed_type():
+    ill = parse(r"\x:o. x x")
+    with pytest.raises(TypeCheckError):
+        simple_type_of({}, ill)
+    assert safety_check({}, ill).level is Level.ILL_TYPED
+    with pytest.raises(TypeCheckError):
+        eta_long({}, ill)
+    assert "closed_type" not in vars(ill)
+
+    env = parse_env("f:o->o")
+    open_term = parse(r"\x:o. f x")
+    assert simple_type_of(env, open_term) == parse_type("o->o")
+    assert safety_check(env, open_term).level is Level.SAFE
+    assert eta_long(env, open_term) is open_term
+    assert "closed_type" not in vars(open_term)
+    with pytest.raises(UnboundVariableError):
+        simple_type_of({}, open_term)
+    assert open_term.closed_type is None
+
+
+def test_simple_type_of_matches_reference_cold_and_warm():
+    population = list(generate_safe_corpus(300, 7))
+    for f in itertools.islice(enumerate_qbfs(3, 3), 0, 200 * 212, 212):
+        population.append(equality_instance(f)[0])
+    for term in population:
+        t = copy_term(term)  # no walk has kept a type on it yet
+        want = _reference_type_of({}, t)
+        assert "closed_type" not in vars(t)
+        assert simple_type_of({}, t) is want
+        assert vars(t)["closed_type"] is want
+        assert simple_type_of({}, t) is want
 
 
 @hyp.given(st.lists(st.tuples(st.integers(-1, 5), st.integers(0, 4)), min_size=1, max_size=12))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from typing import Optional
 
@@ -33,7 +35,7 @@ from safelc.syntax import (
     subterms,
     type_text,
 )
-from termgen import copy_term, is_canonical, recursion_limit, term_strategy, terms
+from termgen import copy_term, is_canonical, recursion_limit, term_strategy, terms, types
 
 O = GROUND
 OO = SimpleType((O,))
@@ -77,6 +79,33 @@ def test_type_orders():
     assert parse_type("o->o->o").order == 1
     assert parse_type("(o->o)->o").order == 2
     assert parse_type("((o->o)->o)->o").order == 3
+
+
+def _reference_order(t: SimpleType) -> int:
+    return max((_reference_order(a) + 1 for a in t.arguments), default=0)
+
+
+@hyp.given(types)
+def test_types_are_interned(t):
+    # however a type is come by, it is the one object for that type
+    assert parse_type(type_text(t)) is t
+    assert SimpleType(t.arguments) is t
+    assert SimpleType(list(t.arguments)) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t) is t
+    assert copy.copy(t) is t
+    assert t.order == _reference_order(t)
+
+
+def test_types_compare_by_identity_and_stay_immutable():
+    assert SimpleType.__eq__ is object.__eq__ and SimpleType.__hash__ is object.__hash__
+    assert SimpleType() is GROUND and SimpleType((O,)) is OO
+    assert arrow(O, O) is OO
+    with pytest.raises(AttributeError):
+        OO.order = 0
+    with pytest.raises(AttributeError):
+        del OO.arguments
+    assert (OO.order, OO.arguments, repr(OO), str(OO)) == (1, (O,), "o->o", "o -> o")
 
 
 def test_arrow_helper():
