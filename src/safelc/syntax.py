@@ -22,7 +22,11 @@ survive.
 
 ``parse``, ``parse_type`` and ``parse_env`` read the text in one pass over
 its tokens with an explicit stack, so nesting depth is not limited by
-Python's recursion limit.  The parser builds the written grouping; only
+Python's recursion limit; ``pretty`` prints with one too.  ``parse``
+reads each binder block ``\\ ... .`` as one token and takes its binders
+from a bounded table keyed by the block text, since few block texts recur
+in many terms; on any failure it reads the text again token by token,
+which spells the error out.  The parser builds the written grouping; only
 when it is not canonical (an abstraction stands directly in an
 abstraction body or an application in head position) does it run the
 rebuild that ``canonicalize`` uses, a bottom-up fold over ``mk_abs`` and
@@ -45,6 +49,7 @@ Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Mapping, Optional
 
@@ -228,18 +233,21 @@ class Term:
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
+# Var, Abs and App write their own __init__: it stores the fields straight
+# into the instance dict, as the frozen dataclass __init__ would through
+# object.__setattr__; Abs and App also check the node and set `size` and
+# `canonical` from the children's.
+
+
+@dataclass(frozen=True, init=False)
 class Var(Term):
     name: str
 
     size = 1
     canonical = True
 
-
-# Abs and App write their own __init__: it checks the node, stores the
-# fields straight into the instance dict, as the frozen dataclass __init__
-# would through object.__setattr__, and sets `size` and `canonical` from
-# the children's.
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
 @dataclass(frozen=True, init=False)
@@ -248,11 +256,12 @@ class Abs(Term):
     body: Term
 
     def __init__(self, binders: tuple[Binder, ...], body: Term):
-        if not binders:
-            raise ValueError("Abs needs at least one binder")
-        names = [n for n, _ in binders]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate binder name in block: {names}")
+        if len(binders) != 1:  # one binder has no name to clash with
+            if not binders:
+                raise ValueError("Abs needs at least one binder")
+            names = [n for n, _ in binders]
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate binder name in block: {names}")
         fields = self.__dict__
         fields["binders"] = binders
         fields["body"] = body
@@ -458,8 +467,21 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 # a token, or any other non-space character, which is an error
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|->|[\\.():])|\S")
+# the same tokens, except that a whole binder block '\ ... .' is one token:
+# the grammar puts no '\' or '.' inside a block, so it ends at the first '.'
+_BLOCK_TOKEN_RE = re.compile(r"(\\[^\\.]*\.|[A-Za-z_][A-Za-z0-9_']*|->|[.():])|\S")
 
 _RESERVED = {"\\", ".", "(", ")", ":", "->"}
+_NO_ATOM = "\\.):-"  # first characters of the tokens no atom starts with
+
+# the binders of each block token read, oldest first, at most _BLOCKS_MAX
+_BLOCKS: OrderedDict[str, tuple[Binder, ...]] = OrderedDict()
+_BLOCKS_MAX = 1024
+
+
+class _Reread(Exception):
+    """The block reading failed: read the text again token by token,
+    which spells the error out."""
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -487,31 +509,67 @@ def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
     return tokens, offsets
 
 
+def _new_block(block: str) -> tuple[Binder, ...]:
+    """The binders of a block token missing from the table, read token by
+    token with `block_at` and added to the table, whose oldest entry goes
+    when it is full."""
+    try:
+        binders, _ = _Parser(block).block_at(1)
+    except ParseError:
+        raise _Reread from None
+    if len(_BLOCKS) >= _BLOCKS_MAX:
+        _BLOCKS.popitem(last=False)
+    _BLOCKS[block] = binders
+    return binders
+
+
 class _Parser:
     """One left-to-right pass over the tokens with an explicit stack.
+
+    A parser reads one of two token streams.  Token by token (the
+    default), each '\\' is a token of its own and `block_at` reads the
+    binders after it.  With `blocks`, each binder block '\\ ... .' is one
+    token whose binders come from a bounded table keyed by the block text,
+    so a block that recurs is read once; `term_at` reads both streams, and
+    tells a block from an atom by a token's first character.  A block
+    stream spells no error out: any failure, from a character no token
+    starts with to a bad block or a grammar error, raises `_Reread`, and
+    `parse` reads the text again token by token.  Types, environments and
+    every ParseError are read token by token.
 
     Offsets are only worked out, by a second `_scan`, when an error is
     raised; a well-formed text is read with one `findall`.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, blocks: bool = False):
         self.text = text
-        tokens = _TOKEN_RE.findall(text)
+        self.blocks = blocks
+        tokens = (_BLOCK_TOKEN_RE if blocks else _TOKEN_RE).findall(text)
         if "" in tokens:  # the catch-all matched: a character no token starts with
+            if blocks:
+                raise _Reread
             _scan(text, _TOKEN_RE)
         tokens.append(None)  # end of input
         self.tokens = tokens
 
     def fail(self, i: int, msg: str):
-        """Raise ParseError at token i (len(tokens) - 1 is the end)."""
+        """Raise ParseError at token i (len(tokens) - 1 is the end), or
+        `_Reread` from a block stream."""
+        if self.blocks:
+            raise _Reread
         tokens, offsets = _scan(self.text, _TOKEN_RE)
         offsets.append(offsets[-1] + len(tokens[-1]) if tokens else 0)
         raise ParseError(msg, *_position(self.text, offsets[i]))
 
-    def expect_end(self, i: int):
+    def whole(self, read_at):
+        """What `read_at` (`term_at` or `type_at`) reads from the whole text."""
+        if self.tokens[0] is None:
+            self.fail(0, "empty input")
+        t, i = read_at(self, 0)
         tok = self.tokens[i]
         if tok is not None:
             self.fail(i, f"trailing input starting at {tok!r}")
+        return t
 
     # type  ::= tatom ('->' type)?
     # tatom ::= '(' type ')' | 'o'
@@ -553,14 +611,18 @@ class _Parser:
     # atom   ::= '(' term ')' | ident
     def term_at(self, i: int) -> tuple[Term, int]:
         """The term starting at token i, as written, and the index after it."""
-        tokens, reserved = self.tokens, _RESERVED
+        tokens, no_atom = self.tokens, _NO_ATOM
         # frames: a binder tuple waits for its body, a list gathers the
         # atoms of an application, None waits for a ')'
         stack: list = []
         while True:
             tok = tokens[i]
-            if tok == "\\":
-                binders, i = self.block_at(i + 1)
+            if tok is not None and tok[0] == "\\":
+                if len(tok) == 1:  # token by token
+                    binders, i = self.block_at(i + 1)
+                else:  # a whole block
+                    binders = _BLOCKS.get(tok) or _new_block(tok)
+                    i += 1
                 stack.append(binders)
                 continue
             atoms: list[Term] = []
@@ -571,7 +633,7 @@ class _Parser:
                     stack.append(None)
                     i += 1
                     break  # a parenthesized term starts
-                if tok is None or tok in reserved:
+                if tok is None or tok[0] in no_atom:
                     self.fail(i, f"expected variable, found {tok!r}")
                 i += 1
                 t: Term = Var(tok)
@@ -579,7 +641,7 @@ class _Parser:
                     atoms = stack[-1]
                     atoms.append(t)
                     tok = tokens[i]
-                    if tok is not None and (tok == "(" or tok not in reserved):
+                    if tok is not None and tok[0] not in no_atom:
                         break  # another atom follows
                     stack.pop()
                     t = atoms[0]
@@ -621,21 +683,15 @@ def parse(text: str, canonical: bool = True) -> Term:
     Pass canonical=False to keep the grouping exactly as written, e.g. to
     feed the safety checker an ungrouped abstraction chain.
     """
-    p = _Parser(text)
-    if p.tokens[0] is None:
-        p.fail(0, "empty input")
-    t, i = p.term_at(0)
-    p.expect_end(i)
+    try:
+        t = _Parser(text, blocks=True).whole(_Parser.term_at)
+    except _Reread:
+        t = _Parser(text).whole(_Parser.term_at)
     return _regroup(t) if canonical and not t.canonical else t
 
 
 def parse_type(text: str) -> SimpleType:
-    p = _Parser(text)
-    if p.tokens[0] is None:
-        p.fail(0, "empty input")
-    t, i = p.type_at(0)
-    p.expect_end(i)
-    return t
+    return _Parser(text).whole(_Parser.type_at)
 
 
 def parse_env(text: str) -> dict[str, SimpleType]:
@@ -664,21 +720,40 @@ def parse_env(text: str) -> dict[str, SimpleType]:
 
 
 def pretty(term: Term, level: int = 0) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Abs):
-        binders = " ".join(f"{n}:{type_text(t)}" for n, t in term.binders)
-        body = pretty(term.body, 0)
-        if isinstance(term.body, Abs):
-            body = f"({body})"  # keep a deliberately ungrouped chain ungrouped
-        s = f"\\{binders}. {body}"
-        return f"({s})" if level > 0 else s
-    if isinstance(term, App):
-        head = pretty(term.head, 1)
-        if isinstance(term.head, App):
-            head = f"({head})"
-        parts = [head]
-        parts.extend(pretty(a, 2) for a in term.args)
-        s = " ".join(parts)
-        return f"({s})" if level >= 2 else s
-    raise TypeError(f"not a term: {term!r}")
+    """The text of `term` at precedence `level`, printed with an explicit
+    stack, so nesting depth is not limited by Python's recursion limit."""
+    out: list[str] = []
+    todo: list = [(term, level)]  # a (term, level) to print, or a str to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, level = item
+        if type(t) is Var:
+            out.append(t.name)
+        elif type(t) is Abs:
+            if level > 0:
+                out.append("(")
+                todo.append(")")
+            binders = " ".join(f"{n}:{type_text(ty)}" for n, ty in t.binders)
+            out.append(f"\\{binders}. ")
+            body = t.body
+            if type(body) is Abs:  # keep a deliberately ungrouped chain ungrouped
+                todo += (")", (body, 0), "(")
+            else:
+                todo.append(body.name if type(body) is Var else (body, 0))
+        elif type(t) is App:
+            if level >= 2:
+                out.append("(")
+                todo.append(")")
+            for a in reversed(t.args):
+                todo += (a.name if type(a) is Var else (a, 2), " ")
+            head = t.head
+            if type(head) is App:
+                todo += (")", (head, 1), "(")
+            else:
+                todo.append(head.name if type(head) is Var else (head, 1))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

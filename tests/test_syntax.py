@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import sys
 from typing import Optional
@@ -8,7 +9,10 @@ import hypothesis.strategies as st
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
+from safelc.encodings import church_nat
 from safelc.syntax import (
+    _BLOCKS,
+    _BLOCKS_MAX,
     _RESERVED,
     _TOKEN_RE,
     GROUND,
@@ -19,7 +23,10 @@ from safelc.syntax import (
     SimpleType,
     Term,
     Var,
+    _new_block,
+    _Parser,
     _position,
+    _Reread,
     _scan,
     all_names,
     alpha_eq,
@@ -35,7 +42,15 @@ from safelc.syntax import (
     subterms,
     type_text,
 )
-from termgen import copy_term, is_canonical, recursion_limit, term_strategy, terms, types
+from termgen import (
+    copy_term,
+    deep_equal,
+    is_canonical,
+    recursion_limit,
+    term_strategy,
+    terms,
+    types,
+)
 
 O = GROUND
 OO = SimpleType((O,))
@@ -125,6 +140,35 @@ def test_pretty_keeps_ungrouped_chain():
     t = parse(r"\x:o. (\f:o->o. f x)", canonical=False)
     assert pretty(t) == r"\x:o. (\f:o->o. f x)"
     assert parse(pretty(t), canonical=False) == t
+
+
+def test_pretty_round_trips_a_deep_numeral_at_default_recursion_limit():
+    n = 10_000
+    numeral = church_nat(n)
+    with recursion_limit(1_000):
+        text = pretty(numeral)
+        back = parse(text)
+    assert text == r"\s:o->o z:o. " + "s (" * (n - 1) + "s z" + ")" * (n - 1)
+    assert deep_equal(back, numeral)
+
+
+def test_term_nodes_keep_dataclass_equality_repr_pickle_and_copy():
+    x = Var("x")
+    assert x == Var("x") and hash(x) == hash(Var("x")) and x != Var("y")
+    assert repr(x) == "Var(name='x')" and x.__dict__ == {"name": "x"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.name = "y"
+    one = Abs((("x", O),), x)
+    two = parse(r"\f:o->o x:o. f x")
+    assert (one.size, one.canonical) == (3, True)
+    assert repr(one) == "Abs(binders=(('x', o),), body=Var(name='x'))"
+    for t in (x, one, two):
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.copy(t) == t and copy.deepcopy(t) == t
+    with pytest.raises(ValueError, match="at least one binder"):
+        Abs((), x)
+    with pytest.raises(ValueError, match="duplicate binder name"):
+        Abs((("x", O), ("x", O)), x)
 
 
 def test_canonicalize_merges_and_flattens():
@@ -681,3 +725,103 @@ def test_parse_type_at_default_recursion_limit():
         (nested,) = nested.arguments
     assert nested == O
     assert spine.order == 1 and spine.arguments == (O,) * n
+
+
+# --------------------------------------------------------------------------
+# the block reading against the token-by-token one
+#
+# `parse` reads a text with each binder block '\ ... .' as one token and,
+# on any failure, again token by token.  Both readings must give the same
+# term, and the block reading must fail exactly where the token reading
+# does, so every ParseError is the token reading's.
+
+
+def _token_by_token(text: str, canonical: bool = True) -> Term:
+    t = _Parser(text).whole(_Parser.term_at)
+    return canonicalize(t) if canonical else t
+
+
+def _assert_readings_agree(text: str):
+    try:
+        _Parser(text, blocks=True).whole(_Parser.term_at)
+        in_blocks = "ok"
+    except _Reread:
+        in_blocks = "ParseError"
+    for canonical in (True, False):
+        want = _parsed(_token_by_token, text, canonical)
+        assert _parsed(parse, text, canonical) == want, text
+        assert in_blocks == want[0], (text, want)
+
+
+_TEXT_PIECES = ["\\", "x", "y", "o", ":", ".", "(", ")", "->", "@", "x'", "\\x:o.", "\\y:o->o."]
+_SPACES = [" ", "\t", "\n"]
+
+
+@hyp.settings(max_examples=500)
+@hyp.given(st.lists(st.sampled_from(_TEXT_PIECES + _SPACES), max_size=24).map("".join))
+def test_block_reading_matches_token_reading_on_random_texts(text):
+    _assert_readings_agree(text)
+
+
+@hyp.settings(max_examples=500)
+@hyp.given(terms, st.data())
+def test_block_reading_matches_token_reading_on_mutated_texts(t, data):
+    text = pretty(t)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["truncate", "insert", "delete"]))
+        if edit == "truncate":
+            text = text[:at]
+        elif edit == "insert":
+            text = text[:at] + data.draw(st.sampled_from(_TEXT_PIECES + _SPACES)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    _assert_readings_agree(text)
+
+
+def test_block_reading_matches_token_reading_on_corpora():
+    texts = [pretty(e.term) for e in HAND_CORPUS]
+    texts += [pretty(t) for t in generate_safe_corpus(300, 3)]
+    texts += [
+        "\\x:(o->o. x",
+        "\\x:o\n  y:o->o. y x",
+        "\\x:o $. x",
+        "\\x:o. \\x:o x:o. x",
+        "\\x:o. \\y:o. \\",
+        "x \\y:o. y",
+        "(\\f:o->o. f) \\x:o.",
+        "\\x:o. x . y",
+        "\\x:o. .y",
+    ]
+    for text in texts:
+        _assert_readings_agree(text)
+
+
+def test_a_recurring_block_is_read_once(monkeypatch):
+    read = []
+
+    def counted(block):
+        read.append(block)
+        return _new_block(block)
+
+    monkeypatch.setattr("safelc.syntax._new_block", counted)
+    _BLOCKS.clear()
+    text = r"\p:o->o q:o. (\x:o. p x) ((\x:o. p x) q)"
+    assert parse(text) == parse(text) == _token_by_token(text)
+    assert read == [r"\p:o->o q:o.", r"\x:o."]
+
+
+def test_block_table_stays_at_its_bound():
+    _BLOCKS.clear()
+    texts = [rf"\x{k}:o->o y:o. x{k} (\z:o. y)" for k in range(_BLOCKS_MAX + 100)]
+    for text in texts:
+        assert parse(text) == _token_by_token(text)
+        assert len(_BLOCKS) <= _BLOCKS_MAX
+    assert len(_BLOCKS) == _BLOCKS_MAX
+    # the oldest blocks went first; their texts still parse, read again
+    assert r"\x0:o->o y:o." not in _BLOCKS and rf"\x{_BLOCKS_MAX + 99}:o->o y:o." in _BLOCKS
+    for text in texts[:5] + texts[-5:]:
+        assert parse(text, canonical=False) == _token_by_token(text, canonical=False)
+    assert len(_BLOCKS) == _BLOCKS_MAX
+    _BLOCKS.clear()
+
