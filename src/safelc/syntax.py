@@ -49,7 +49,6 @@ Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Mapping, Optional
 
@@ -468,15 +467,17 @@ def alpha_eq(a: Term, b: Term) -> bool:
 # a token, or any other non-space character, which is an error
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|->|[\\.():])|\S")
 # the same tokens, except that a whole binder block '\ ... .' is one token:
-# the grammar puts no '\' or '.' inside a block, so it ends at the first '.'
-_BLOCK_TOKEN_RE = re.compile(r"(\\[^\\.]*\.|[A-Za-z_][A-Za-z0-9_']*|->|[.():])|\S")
+# the grammar puts no '\' or '.' inside a block, so it ends at the first '.';
+# a block token holds only characters of its tokens, and spaces
+_BLOCK_TOKEN_RE = re.compile(r"(\\[A-Za-z0-9_'\s():>-]*\.|[A-Za-z_][A-Za-z0-9_']*|->|[.():])|\S")
 
 _RESERVED = {"\\", ".", "(", ")", ":", "->"}
 _NO_ATOM = "\\.):-"  # first characters of the tokens no atom starts with
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 
-# the binders of each block token read, oldest first, at most _BLOCKS_MAX
-_BLOCKS: OrderedDict[str, tuple[Binder, ...]] = OrderedDict()
-_BLOCKS_MAX = 1024
+# the binders of each block token read, at most _BLOCKS_MAX; emptied when full
+_BLOCKS: dict[str, tuple[Binder, ...]] = {}
+_BLOCKS_MAX = 256
 
 
 class _Reread(Exception):
@@ -509,20 +510,6 @@ def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
     return tokens, offsets
 
 
-def _new_block(block: str) -> tuple[Binder, ...]:
-    """The binders of a block token missing from the table, read token by
-    token with `block_at` and added to the table, whose oldest entry goes
-    when it is full."""
-    try:
-        binders, _ = _Parser(block).block_at(1)
-    except ParseError:
-        raise _Reread from None
-    if len(_BLOCKS) >= _BLOCKS_MAX:
-        _BLOCKS.popitem(last=False)
-    _BLOCKS[block] = binders
-    return binders
-
-
 class _Parser:
     """One left-to-right pass over the tokens with an explicit stack.
 
@@ -530,12 +517,13 @@ class _Parser:
     default), each '\\' is a token of its own and `block_at` reads the
     binders after it.  With `blocks`, each binder block '\\ ... .' is one
     token whose binders come from a bounded table keyed by the block text,
-    so a block that recurs is read once; `term_at` reads both streams, and
-    tells a block from an atom by a token's first character.  A block
-    stream spells no error out: any failure, from a character no token
-    starts with to a bad block or a grammar error, raises `_Reread`, and
-    `parse` reads the text again token by token.  Types, environments and
-    every ParseError are read token by token.
+    so a block that recurs is read once and `new_block` reads one the
+    table lacks; `term_at` reads both streams, and tells a block from an
+    atom by a token's first character.  A block stream spells no error
+    out: any failure, from a character no token starts with to a bad block
+    or a grammar error, raises `_Reread`, and `parse` reads the text again
+    token by token.  Types, environments and every ParseError are read
+    token by token.
 
     Offsets are only worked out, by a second `_scan`, when an error is
     raised; a well-formed text is read with one `findall`.
@@ -621,7 +609,7 @@ class _Parser:
                 if len(tok) == 1:  # token by token
                     binders, i = self.block_at(i + 1)
                 else:  # a whole block
-                    binders = _BLOCKS.get(tok) or _new_block(tok)
+                    binders = _BLOCKS.get(tok) or self.new_block(tok)
                     i += 1
                 stack.append(binders)
                 continue
@@ -656,14 +644,45 @@ class _Parser:
                     i += 1
                     stack.pop()  # the parenthesized term is an atom again
 
+    def new_block(self, block: str) -> tuple[Binder, ...]:
+        """The binders of a block token missing from the table, read by
+        `block_at` and added to the table.
+
+        A block token holds only identifier characters, spaces and the
+        symbols '(', ')', ':', '-' and '>'.  Once every '-' and '>' is
+        known to stand in a '->', spacing the symbols out splits the block
+        into the tokens `_TOKEN_RE` finds in it, except that a run starting
+        with a digit or "'" stays whole where `_TOKEN_RE` stops at a bad
+        character; `block_at` takes no such run.  So a miss builds no second
+        parser and scans the block with string methods, not a second
+        regular expression.  The split tokens stand in for the text's
+        while `block_at` reads them; a failure raises `_Reread`, which
+        drops this parser.
+        """
+        arrowless = block.replace("->", "")
+        if "-" in arrowless or ">" in arrowless:
+            raise _Reread  # a '-' or '>' outside '->'
+        tokens = self.tokens
+        self.tokens = block_tokens = (
+            block[1:-1].replace("->", " -> ").replace(":", " : ")
+            .replace("(", " ( ").replace(")", " ) ").split()
+        )
+        block_tokens += (".", None)
+        binders, _ = self.block_at(0)
+        self.tokens = tokens
+        if len(_BLOCKS) >= _BLOCKS_MAX:
+            _BLOCKS.clear()
+        _BLOCKS[block] = binders
+        return binders
+
     def block_at(self, i: int) -> tuple[tuple[Binder, ...], int]:
-        """The binders after a '\\' at token i - 1, and the index after '.'."""
+        """The binders from token i on, after a '\\', and the index after '.'."""
         tokens = self.tokens
         binders: list[Binder] = []
         names_seen: set[str] = set()
         while True:
             name = tokens[i]
-            if name is None or name in _RESERVED:
+            if name is None or name[0] not in _NAME_START:
                 self.fail(i, f"expected binder, found {name!r}")
             if name in names_seen:
                 self.fail(i, f"duplicate binder {name!r} in one block")
@@ -742,18 +761,18 @@ def pretty(term: Term, level: int = 0) -> str:
             if type(body) is Abs:  # keep a deliberately ungrouped chain ungrouped
                 todo += (")", (body, 0), "(")
             else:
-                todo.append(body.name if type(body) is Var else (body, 0))
+                todo.append((body, 0))
         elif type(t) is App:
             if level >= 2:
                 out.append("(")
                 todo.append(")")
             for a in reversed(t.args):
-                todo += (a.name if type(a) is Var else (a, 2), " ")
+                todo += ((a, 2), " ")
             head = t.head
             if type(head) is App:
                 todo += (")", (head, 1), "(")
             else:
-                todo.append(head.name if type(head) is Var else (head, 1))
+                todo.append((head, 1))
         else:
             raise TypeError(f"not a term: {t!r}")
     return "".join(out)

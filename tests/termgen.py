@@ -6,7 +6,6 @@ lives in safelc.corpus and is exercised separately.
 """
 
 import sys
-import threading
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
@@ -98,32 +97,24 @@ def recursion_limit(limit: int):
 
 
 def deep_equal(a: Term, b: Term) -> bool:
-    """`a == b` for terms too deep for `==` in the main thread.
-
-    `==` on terms is the dataclasses' recursive one, about three levels of
-    Python's recursion count per level of the term, so a 10,000-deep
-    numeral overflows even at the 10,000 limit the tests raise it to, and
-    a higher limit overflows the main thread's C stack.  So the comparison
-    runs in a thread with a 256 MB stack at a recursion limit of 100,000,
-    restored afterwards.
-    """
-    out: list = []
-
-    def compare():
-        saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(100_000)
-        try:
-            out.append(a == b)
-        finally:
-            sys.setrecursionlimit(saved)
-
-    saved_stack = threading.stack_size(256 << 20)
-    try:
-        worker = threading.Thread(target=compare)
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(saved_stack)
-    if not out:
-        raise AssertionError("comparing the terms failed")
-    return out[0]
+    """`a == b` for terms too deep for `==`, the dataclasses' recursive
+    one: the same verdict, from a walk of both terms with an explicit
+    stack that compares each node's kind and fields."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if type(x) is Var:
+            if x.name != y.name:
+                return False
+        elif type(x) is Abs:
+            if x.binders != y.binders:
+                return False
+            todo.append((x.body, y.body))
+        else:
+            if len(x.args) != len(y.args):
+                return False
+            todo.append((x.head, y.head))
+            todo += zip(x.args, y.args)
+    return True

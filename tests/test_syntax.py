@@ -23,7 +23,6 @@ from safelc.syntax import (
     SimpleType,
     Term,
     Var,
-    _new_block,
     _Parser,
     _position,
     _Reread,
@@ -150,6 +149,12 @@ def test_pretty_round_trips_a_deep_numeral_at_default_recursion_limit():
         back = parse(text)
     assert text == r"\s:o->o z:o. " + "s (" * (n - 1) + "s z" + ")" * (n - 1)
     assert deep_equal(back, numeral)
+
+
+@hyp.given(terms, terms)
+def test_deep_equal_agrees_with_eq(a, b):
+    assert deep_equal(a, b) == (a == b)
+    assert deep_equal(a, copy_term(a))
 
 
 def test_term_nodes_keep_dataclass_equality_repr_pickle_and_copy():
@@ -754,11 +759,14 @@ def _assert_readings_agree(text: str):
 
 
 _TEXT_PIECES = ["\\", "x", "y", "o", ":", ".", "(", ")", "->", "@", "x'", "\\x:o.", "\\y:o->o."]
+# what a block token may hold besides its tokens, which `new_block` must
+# turn away as `_TOKEN_RE` does
+_BLOCK_PIECES = ["-", ">", "1", "'", "_", "\u00e9"]
 _SPACES = [" ", "\t", "\n"]
 
 
 @hyp.settings(max_examples=500)
-@hyp.given(st.lists(st.sampled_from(_TEXT_PIECES + _SPACES), max_size=24).map("".join))
+@hyp.given(st.lists(st.sampled_from(_TEXT_PIECES + _BLOCK_PIECES + _SPACES), max_size=24).map("".join))
 def test_block_reading_matches_token_reading_on_random_texts(text):
     _assert_readings_agree(text)
 
@@ -773,7 +781,8 @@ def test_block_reading_matches_token_reading_on_mutated_texts(t, data):
         if edit == "truncate":
             text = text[:at]
         elif edit == "insert":
-            text = text[:at] + data.draw(st.sampled_from(_TEXT_PIECES + _SPACES)) + text[at:]
+            piece = data.draw(st.sampled_from(_TEXT_PIECES + _BLOCK_PIECES + _SPACES))
+            text = text[:at] + piece + text[at:]
         else:
             text = text[:at] + text[at + 1 :]
     _assert_readings_agree(text)
@@ -792,6 +801,20 @@ def test_block_reading_matches_token_reading_on_corpora():
         "(\\f:o->o. f) \\x:o.",
         "\\x:o. x . y",
         "\\x:o. .y",
+        "\\x-y:o. x",
+        "\\x>:o. x",
+        "\\x:o-->o. x",
+        "\\x:o->>o. x",
+        "\\x:o- >o. x",
+        "\\1x:o. x",
+        "\\'x:o. x",
+        "\\x:o'. x",
+        "\\x:o 1:o. x",
+        "\\x:o\u00a0y:o. x",
+        "\\x:o \u00e9:o. x",
+        "\\_:o x':o. _ x'",
+        "\\x:(o)->o y:((o->o))->o. y x",
+        "\\x : o -> o\ty\n:\no . x y",
     ]
     for text in texts:
         _assert_readings_agree(text)
@@ -799,12 +822,13 @@ def test_block_reading_matches_token_reading_on_corpora():
 
 def test_a_recurring_block_is_read_once(monkeypatch):
     read = []
+    new_block = _Parser.new_block
 
-    def counted(block):
+    def counted(self, block):
         read.append(block)
-        return _new_block(block)
+        return new_block(self, block)
 
-    monkeypatch.setattr("safelc.syntax._new_block", counted)
+    monkeypatch.setattr(_Parser, "new_block", counted)
     _BLOCKS.clear()
     text = r"\p:o->o q:o. (\x:o. p x) ((\x:o. p x) q)"
     assert parse(text) == parse(text) == _token_by_token(text)
@@ -814,14 +838,15 @@ def test_a_recurring_block_is_read_once(monkeypatch):
 def test_block_table_stays_at_its_bound():
     _BLOCKS.clear()
     texts = [rf"\x{k}:o->o y:o. x{k} (\z:o. y)" for k in range(_BLOCKS_MAX + 100)]
+    sizes = []
     for text in texts:
         assert parse(text) == _token_by_token(text)
-        assert len(_BLOCKS) <= _BLOCKS_MAX
-    assert len(_BLOCKS) == _BLOCKS_MAX
-    # the oldest blocks went first; their texts still parse, read again
+        sizes.append(len(_BLOCKS))
+    # the table filled up to its bound, never past it, and was emptied
+    assert max(sizes) == _BLOCKS_MAX and sizes[-1] < _BLOCKS_MAX
     assert r"\x0:o->o y:o." not in _BLOCKS and rf"\x{_BLOCKS_MAX + 99}:o->o y:o." in _BLOCKS
+    # dropped blocks are read again
     for text in texts[:5] + texts[-5:]:
         assert parse(text, canonical=False) == _token_by_token(text, canonical=False)
-    assert len(_BLOCKS) == _BLOCKS_MAX
+    assert len(_BLOCKS) <= _BLOCKS_MAX
     _BLOCKS.clear()
-
