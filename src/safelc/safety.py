@@ -31,8 +31,9 @@ walk only when a verdict's ``trace`` is first read, as ``safelc check
 ``eta_long`` types the term in the same walk, which also notes whether
 it is eta-long already, and expands it, when it is not, with an explicit
 stack.  Every walk that types a term from the empty context keeps the
-type on the term as ``closed_type``, so ``simple_type_of`` types a closed
-term once however often it is asked: ``beta_eta_equal`` after
+type in the root node's ``closed_type`` slot, through
+:func:`safelc.syntax.keep_closed_type`, so ``simple_type_of`` types a
+closed term once however often it is asked: ``beta_eta_equal`` after
 ``safety_check`` does not walk the left side again.
 """
 
@@ -54,6 +55,7 @@ from .syntax import (
     all_names,
     canonicalize,
     fresh_names,
+    keep_closed_type,
     mk_app,
     type_text,
 )
@@ -415,7 +417,7 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 trace[frame[3]] = TraceEntry(rule, frame[1], ty.order)
         else:
             if closed:
-                term.__dict__["closed_type"] = ty
+                keep_closed_type(term, ty)
             if not levels:
                 if redexes is None or (eta and (not ty.arguments or type(term) is Abs)):
                     return ty, None, None
@@ -436,7 +438,7 @@ def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
     again: its type is the `closed_type` the first walk kept on it.
     """
     if not env:
-        ty = getattr(term, "closed_type", None)
+        ty = term.closed_type
         if ty is not None:
             return ty
     return _walk(dict(env), term, _TYPE)[0]

@@ -22,19 +22,22 @@ survive.
 
 ``parse``, ``parse_type`` and ``parse_env`` read the text in one pass over
 its tokens with an explicit stack, so nesting depth is not limited by
-Python's recursion limit; ``pretty`` prints with one too.  ``parse``
-reads each binder block ``\\ ... .`` as one token and takes its binders
-from a bounded table keyed by the block text, since few block texts recur
-in many terms; on any failure it reads the text again token by token,
-which spells the error out.  The parser builds the written grouping; only
-when it is not canonical (an abstraction stands directly in an
-abstraction body or an application in head position) does it run the
-rebuild that ``canonicalize`` uses, a bottom-up fold over ``mk_abs`` and
-``mk_app``.  A term's ``size`` and whether it is ``canonical`` are set
-when its node is built, from its children's, which always exist first,
-so no code walks a term to learn either.  Only ``free_names`` is filled
-lazily, once per node, bottom-up without recursion; keeping it lazy
-keeps the nodes small.
+Python's recursion limit; ``pretty`` and ``type_text`` print with one
+too.  ``parse`` reads each binder block ``\\ ... .`` as one token and
+takes its binders from a bounded table keyed by the block text, since few
+block texts recur in many terms; on any failure it reads the text again
+token by token, which spells the error out.  The parser builds the
+written grouping; only when it is not canonical (an abstraction stands
+directly in an abstraction body or an application in head position)
+does it run the rebuild that ``canonicalize`` uses, a bottom-up fold
+over ``mk_abs`` and ``mk_app``.  A term's ``size`` and whether it is
+``canonical`` are set when its node is built, from its children's, which
+always exist first, so no code walks a term to learn either.  Nodes have
+``__slots__`` and no instance dict, one slot per field and per cached
+fact, so a term held in memory costs 48 to 88 bytes a node.  Only
+``free_names`` is filled lazily, once per node, bottom-up without
+recursion: a set on every node would cost more than the node.  ``==``
+and ``hash`` walk with an explicit stack too.
 
 Simple types are interned: there is one ``SimpleType`` object per type,
 so building a type is a table lookup and two types are compared with
@@ -49,8 +52,8 @@ Abs(binders=(('f', o->o), ('x', o)), body=App(head=Var(name='f'), args=(Var(name
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import ClassVar, Iterator, Mapping, Optional
+from dataclasses import FrozenInstanceError
+from typing import Iterator, Mapping, Optional
 
 
 class ParseError(Exception):
@@ -118,7 +121,7 @@ class SimpleType:
     def __str__(self) -> str:
         return type_text(self, spaced=True)
 
-    def __repr__(self) -> str:  # keeps dataclass reprs of terms readable
+    def __repr__(self) -> str:  # keeps the reprs of terms readable
         return type_text(self)
 
 
@@ -136,14 +139,27 @@ def arrow(*parts: SimpleType) -> SimpleType:
 
 
 def type_text(t: SimpleType, spaced: bool = False) -> str:
-    sep = " -> " if spaced else "->"
-    if t.is_ground:
+    """The text of `t`, arrows spaced out when `spaced`, printed with an
+    explicit stack, so nesting depth is not limited by Python's recursion
+    limit."""
+    if not t.arguments:
         return "o"
-    pieces = []
-    for a in t.arguments:
-        inner = type_text(a, spaced)
-        pieces.append(f"({inner})" if a.arguments else inner)
-    return sep.join(pieces) + sep + "o"
+    sep = " -> " if spaced else "->"
+    out: list[str] = []
+    todo: list = [t]  # a type to print, or a str to emit
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        todo.append("o")
+        for a in reversed(t.arguments):
+            todo.append(sep)
+            if a.arguments:
+                todo += (")", a, "(")
+            else:
+                todo.append("o")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,105 +168,78 @@ def type_text(t: SimpleType, spaced: bool = False) -> str:
 Binder = tuple[str, SimpleType]
 
 
-class _cached:
-    """A per-node value computed on first read and kept in the node's
-    instance dict; unlike ``functools.cached_property`` it takes no lock."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        value = node.__dict__[self.name] = self.compute(node)
-        return value
-
-
-class _measure(_cached):
-    """A `_cached` value over the subterms: a first read fills the node's
-    uncached descendants first, bottom-up with an explicit stack, so
-    `compute` only reads cached children and no measure recurses however
-    deep the term is."""
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        name, compute = self.name, self.compute
-        todo = [node]
-        while todo:
-            t = todo[-1]
-            cache = t.__dict__
-            if name in cache:
-                todo.pop()
-                continue
-            if isinstance(t, App):
-                children = (t.head, *t.args)
-            elif isinstance(t, Abs):
-                children = (t.body,)
-            else:
-                children = ()
-            waiting = len(todo)
-            for c in children:
-                below = c.__dict__
-                if name not in below:
-                    if isinstance(c, Var):  # a leaf: no need to come back
-                        below[name] = compute(c)
-                    else:
-                        todo.append(c)
-            if len(todo) == waiting:  # every child is cached
-                todo.pop()
-                cache[name] = compute(t)
-        return node.__dict__[name]
-
-
-@dataclass(frozen=True)
 class Term:
-    """A term node.  Every node has `size`, its node count with binders
-    included (the measure budgets use), and `canonical`, whether no Abs
-    stands directly in an Abs body and no App as an App head anywhere in
-    it; both are set when the node is built.  `closed_type` is the simple
-    type of a closed, well-typed term, kept in the node's instance dict
-    the first time :mod:`safelc.safety` types the term from an empty
-    context, and None until then and on every other term."""
+    """A term node: a `Var`, an `Abs` or an `App`, immutable.
 
-    size: ClassVar[int]
-    canonical: ClassVar[bool]
-    closed_type: ClassVar[Optional[SimpleType]] = None
+    Every node has `size`, its node count with binders included (the
+    measure budgets use), and `canonical`, whether no Abs stands directly
+    in an Abs body and no App as an App head anywhere in it; both are set
+    when the node is built.  `closed_type` is the simple type of a closed,
+    well-typed term, kept in its node by `keep_closed_type` the first time
+    :mod:`safelc.safety` types the term from an empty context, and None
+    until then and on every other term.
 
-    @_measure
+    Nodes have slots and no instance dict: a slot per field and per cached
+    fact, the lazy ones (`free_names`, `binder_names`) None until first
+    read.  Two nodes are equal when they are of the same class with equal
+    fields; `==` and `hash` walk the terms with an explicit stack.  `repr`,
+    `pickle` and `copy` see the fields alone, as a dataclass's would.
+    """
+
+    __slots__ = ("_free_names",)
+
+    size: int
+    canonical: bool
+    closed_type: Optional[SimpleType] = None
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
+
+    def __hash__(self) -> int:
+        return _hash(self)
+
+    @property
     def free_names(self) -> frozenset[str]:
         """Names of the variables occurring free."""
-        if isinstance(self, Abs):
-            return self.body.free_names - {n for n, _ in self.binders}
-        if isinstance(self, App):
-            out = self.head.free_names
-            for a in self.args:
-                out = out | a.free_names
-            return out
-        return frozenset((self.name,))
+        names = self._free_names
+        return _fill_free_names(self) if names is None else names
 
 
-# Var, Abs and App write their own __init__: it stores the fields straight
-# into the instance dict, as the frozen dataclass __init__ would through
-# object.__setattr__; Abs and App also check the node and set `size` and
-# `canonical` from the children's.
+# Var, Abs and App set their slots in __init__ through the slots' member
+# descriptors, since assignment raises; Abs and App also check the node and
+# set `size` and `canonical` from the children's.
 
 
-@dataclass(frozen=True, init=False)
 class Var(Term):
+    __slots__ = ("name",)
+
     name: str
 
     size = 1
     canonical = True
 
     def __init__(self, name: str):
-        self.__dict__["name"] = name
+        _var_name(self, name)
+        _set_free_names(self, None)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
 
-@dataclass(frozen=True, init=False)
 class Abs(Term):
+    __slots__ = ("binders", "body", "size", "canonical", "closed_type", "_binder_names")
+
     binders: tuple[Binder, ...]
     body: Term
 
@@ -261,19 +250,32 @@ class Abs(Term):
             names = [n for n, _ in binders]
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate binder name in block: {names}")
-        fields = self.__dict__
-        fields["binders"] = binders
-        fields["body"] = body
-        fields["size"] = 1 + len(binders) + body.size
-        fields["canonical"] = type(body) is not Abs and body.canonical
+        _abs_binders(self, binders)
+        _abs_body(self, body)
+        _abs_size(self, 1 + len(binders) + body.size)
+        _abs_canonical(self, type(body) is not Abs and body.canonical)
+        _abs_closed_type(self, None)
+        _set_free_names(self, None)
+        _abs_binder_names(self, None)
 
-    @_cached
+    def __repr__(self) -> str:
+        return f"Abs(binders={self.binders!r}, body={self.body!r})"
+
+    def __reduce__(self):
+        return Abs, (self.binders, self.body)
+
+    @property
     def binder_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.binders)
+        names = self._binder_names
+        if names is None:
+            names = tuple(n for n, _ in self.binders)
+            _abs_binder_names(self, names)
+        return names
 
 
-@dataclass(frozen=True, init=False)
 class App(Term):
+    __slots__ = ("head", "args", "size", "canonical", "closed_type")
+
     head: Term
     args: tuple[Term, ...]
 
@@ -285,11 +287,103 @@ class App(Term):
         for a in args:
             size += a.size
             canonical = canonical and a.canonical
-        fields = self.__dict__
-        fields["head"] = head
-        fields["args"] = args
-        fields["size"] = size
-        fields["canonical"] = canonical
+        _app_head(self, head)
+        _app_args(self, args)
+        _app_size(self, size)
+        _app_canonical(self, canonical)
+        _app_closed_type(self, None)
+        _set_free_names(self, None)
+
+    def __repr__(self) -> str:
+        return f"App(head={self.head!r}, args={self.args!r})"
+
+    def __reduce__(self):
+        return App, (self.head, self.args)
+
+
+_set_free_names = Term._free_names.__set__
+_var_name = Var.name.__set__
+_abs_binders, _abs_body = Abs.binders.__set__, Abs.body.__set__
+_abs_size, _abs_canonical = Abs.size.__set__, Abs.canonical.__set__
+_abs_closed_type, _abs_binder_names = Abs.closed_type.__set__, Abs._binder_names.__set__
+_app_head, _app_args = App.head.__set__, App.args.__set__
+_app_size, _app_canonical = App.size.__set__, App.canonical.__set__
+_app_closed_type = App.closed_type.__set__
+
+
+def keep_closed_type(term: Term, ty: SimpleType) -> None:
+    """Keep `ty` as the `closed_type` of `term`, a closed Abs or App."""
+    (_abs_closed_type if type(term) is Abs else _app_closed_type)(term, ty)
+
+
+def _fill_free_names(node: Term) -> frozenset[str]:
+    """`node.free_names`, filling the slot of each descendant that lacks
+    it first, bottom-up with an explicit stack, so each node's set is
+    built once from its children's and no call recurses."""
+    todo = [node]
+    while todo:
+        t = todo[-1]
+        if t._free_names is not None:
+            todo.pop()
+            continue
+        kind = type(t)
+        if kind is Var:
+            _set_free_names(t, frozenset((t.name,)))
+            todo.pop()
+            continue
+        children = (t.body,) if kind is Abs else (t.head, *t.args)
+        waiting = len(todo)
+        for c in children:
+            if c._free_names is None:
+                if type(c) is Var:  # a leaf: no need to come back
+                    _set_free_names(c, frozenset((c.name,)))
+                else:
+                    todo.append(c)
+        if len(todo) == waiting:  # every child's set is there
+            todo.pop()
+            if kind is Abs:
+                names = t.body._free_names - {n for n, _ in t.binders}
+            else:
+                names = t.head._free_names
+                for a in t.args:
+                    names = names | a._free_names
+            _set_free_names(t, names)
+    return node._free_names
+
+
+def _equal(a: Term, b: Term) -> bool:
+    """Same class and equal fields, node by node with an explicit stack."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if kind is not type(y) or x.size != y.size:
+            return False
+        if kind is Var:
+            if x.name != y.name:
+                return False
+        elif kind is Abs:
+            if x.binders != y.binders:
+                return False
+            todo.append((x.body, y.body))
+        else:
+            if len(x.args) != len(y.args):
+                return False
+            todo += zip(x.args, y.args)
+            todo.append((x.head, y.head))
+    return True
+
+
+def _hash(term: Term) -> int:
+    """A hash of the node fields in pre-order, which with each App's
+    argument count spell the whole term, so equal terms hash alike."""
+    h = 0
+    for t in subterms(term):
+        kind = type(t)
+        h = hash((h, t.name if kind is Var else t.binders if kind is Abs else len(t.args)))
+    return h
 
 
 TypeEnv = Mapping[str, SimpleType]

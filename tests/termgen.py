@@ -95,26 +95,3 @@ def recursion_limit(limit: int):
     finally:
         sys.setrecursionlimit(saved)
 
-
-def deep_equal(a: Term, b: Term) -> bool:
-    """`a == b` for terms too deep for `==`, the dataclasses' recursive
-    one: the same verdict, from a walk of both terms with an explicit
-    stack that compares each node's kind and fields."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if type(x) is not type(y):
-            return False
-        if type(x) is Var:
-            if x.name != y.name:
-                return False
-        elif type(x) is Abs:
-            if x.binders != y.binders:
-                return False
-            todo.append((x.body, y.body))
-        else:
-            if len(x.args) != len(y.args):
-                return False
-            todo.append((x.head, y.head))
-            todo += zip(x.args, y.args)
-    return True

@@ -348,7 +348,7 @@ def test_tree_of_deep_numeral_at_default_recursion_limit():
 def test_deep_term_expanded_at_default_recursion_limit():
     # \f:(o->o)->o s:o->o z:o. s (s (... (f s))), 600 deep: only the
     # innermost s, an argument of f, needs expanding.  The results are
-    # read along their spines, since `==` and `pretty` still recurse.
+    # read along their spines, as their expanded binders are fresh names.
     n = 600
     body = App(Var("f"), (Var("s"),))
     for _ in range(n):

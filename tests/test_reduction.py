@@ -666,8 +666,7 @@ def test_normalize_contracts_over_a_deep_argument_at_default_recursion_limit():
     term = Abs(binders, App(Abs((("x", GROUND),), Var("x")), (deep,)))
     with recursion_limit(1_000):
         results = [normalize(term, strategy) for strategy in Strategy]
-    # == on nested dataclasses recurses, so it runs outside
-    assert results == [Abs(binders, deep)] * 2
+        assert results == [Abs(binders, deep)] * 2
 
 
 def test_normalize_partial_application_of_a_deep_numeral_at_default_recursion_limit():

@@ -1,7 +1,7 @@
 import copy
-import dataclasses
 import pickle
 import sys
+from dataclasses import FrozenInstanceError
 from typing import Optional
 
 import hypothesis as hyp
@@ -43,7 +43,6 @@ from safelc.syntax import (
 )
 from termgen import (
     copy_term,
-    deep_equal,
     is_canonical,
     recursion_limit,
     term_strategy,
@@ -147,26 +146,64 @@ def test_pretty_round_trips_a_deep_numeral_at_default_recursion_limit():
     with recursion_limit(1_000):
         text = pretty(numeral)
         back = parse(text)
+        assert back == numeral
     assert text == r"\s:o->o z:o. " + "s (" * (n - 1) + "s z" + ")" * (n - 1)
-    assert deep_equal(back, numeral)
+
+
+def _fields_equal(a: Term, b: Term) -> bool:
+    """The meaning `==` keeps: same class and equal fields, recursively."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Abs):
+        return a.binders == b.binders and _fields_equal(a.body, b.body)
+    return len(a.args) == len(b.args) and all(
+        _fields_equal(x, y) for x, y in zip((a.head, *a.args), (b.head, *b.args))
+    )
 
 
 @hyp.given(terms, terms)
-def test_deep_equal_agrees_with_eq(a, b):
-    assert deep_equal(a, b) == (a == b)
-    assert deep_equal(a, copy_term(a))
+def test_term_eq_agrees_with_fieldwise_comparison(a, b):
+    assert (a == b) == (b == a) == _fields_equal(a, b)
+    assert (a != b) != (a == b)
+    c = copy_term(a)
+    assert a == c and hash(a) == hash(c)
+
+
+def test_term_eq_and_hash_at_default_recursion_limit():
+    n = 10_000
+    a, b = church_nat(n), church_nat(n)
+    spine: Term = Var("y")  # unlike a numeral only in its innermost leaf
+    for _ in range(n):
+        spine = App(Var("s"), (spine,))
+    other = Abs(a.binders, spine)
+    with recursion_limit(1_000):
+        assert a == b and hash(a) == hash(b)
+        assert a != other and a != church_nat(n - 1)
 
 
 def test_term_nodes_keep_dataclass_equality_repr_pickle_and_copy():
     x = Var("x")
     assert x == Var("x") and hash(x) == hash(Var("x")) and x != Var("y")
-    assert repr(x) == "Var(name='x')" and x.__dict__ == {"name": "x"}
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        x.name = "y"
+    assert x != "x" and Abs((("x", O),), x) != App(x, (x,))
+    assert repr(x) == "Var(name='x')"
     one = Abs((("x", O),), x)
     two = parse(r"\f:o->o x:o. f x")
+    # slots and no instance dict; every field and cached fact is frozen
+    for t in (x, one, two):
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            t.closed_type = O
+        with pytest.raises(FrozenInstanceError):
+            t.size = 0
+    with pytest.raises(FrozenInstanceError):
+        x.name = "y"
+    with pytest.raises(FrozenInstanceError):
+        del two.body
     assert (one.size, one.canonical) == (3, True)
     assert repr(one) == "Abs(binders=(('x', o),), body=Var(name='x'))"
+    assert repr(two.body) == "App(head=Var(name='f'), args=(Var(name='x'),))"
     for t in (x, one, two):
         assert pickle.loads(pickle.dumps(t)) == t
         assert copy.copy(t) == t and copy.deepcopy(t) == t
@@ -467,6 +504,15 @@ def test_term_measures_at_default_recursion_limit():
     t = Abs((("z", O),), t)
     with recursion_limit(1_000):
         assert (t.size, t.free_names) == (2 * n + 3, frozenset({"s"}))
+
+
+def test_type_text_at_default_recursion_limit():
+    n = 3_000
+    text = "(" * (n - 1) + "o->o" + ")->o" * (n - 1)
+    t = parse_type(text)
+    with recursion_limit(1_000):
+        assert type_text(t) == text
+        assert type_text(t, spaced=True) == text.replace("->", " -> ")
 
 
 def test_alpha_eq_of_a_term_and_itself_at_default_recursion_limit():
