@@ -508,7 +508,10 @@ def normalize(
 # well-typed terms of one type are beta-eta equal exactly when their lists
 # are equal (Berger & Schwichtenberg, LICS 1991).  Read-back keeps the
 # nodes still to visit on an explicit stack, so neither it nor the
-# comparison recurses however deep the normal form is.
+# comparison recurses however deep the normal form is.  A closed
+# abstraction, one with a `closed_type`, closes over the empty environment.
+
+_NO_ENV: dict = {}  # never written: `enter` copies an environment first
 
 
 class _Closure:
@@ -588,7 +591,7 @@ class _Evaluator:
                     if k is Var:
                         pending.append(env[a.name])
                     elif k is Abs:
-                        pending.append(_Closure(a, env, ()))
+                        pending.append(_Closure(a, _NO_ENV if a.closed_type is not None else env, ()))
                     else:
                         pending.append(_Thunk(a, env))
                 args = tuple(pending) + args
@@ -596,7 +599,7 @@ class _Evaluator:
                 term = term.head
                 continue
             if kind is Abs:
-                f = _Closure(term, env, ())
+                f = _Closure(term, _NO_ENV if term.closed_type is not None else env, ())
             else:
                 f = env[term.name]
                 if type(f) is _Thunk:

@@ -30,11 +30,11 @@ walk only when a verdict's ``trace`` is first read, as ``safelc check
 --trace`` does, or its failures are listed for a term that is not Safe.
 ``eta_long`` types the term in the same walk, which also notes whether
 it is eta-long already, and expands it, when it is not, with an explicit
-stack.  Every walk that types a term from the empty context keeps the
-type in the root node's ``closed_type`` slot, through
-:func:`safelc.syntax.keep_closed_type`, so ``simple_type_of`` types a
-closed term once however often it is asked: ``beta_eta_equal`` after
-``safety_check`` does not walk the left side again.
+stack.  A closed subterm has one type and one level (Safe or
+UnsafeTypable) wherever it stands, so it is typed and checked once per
+object: the walks of ``simple_type_of`` and ``safety_check`` keep them on
+each closed block they leave (:func:`safelc.syntax.keep_closed_type`) and
+take such a node below the root as typed without entering it.
 """
 
 from __future__ import annotations
@@ -234,15 +234,16 @@ def _add(stair: list, depth: int, key) -> None:
 def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType, Optional[Level], Optional[list]]:
     """Type `term` in `ctx` in one depth-first pass with an explicit stack.
 
-    Under `_TYPE`, `ctx` is updated on entering a block and restored on
+    Under `_ETA`, `ctx` is updated on entering a block and restored on
     leaving it, so it is as it was when this returns.  The head of an App
     is typed before its arguments, and each argument is checked as soon as
     it is typed, so the first error is the one a left-to-right recursive
     typing would meet.
 
-    Under `_LEVEL` and `_TRACE` the walk works on a copy of `ctx` that
-    also places each name at the stack index of the frame binding it (-1
-    for the names of `ctx`), and decides each block's order condition.
+    The other modes work on a copy of `ctx` that also places each name at
+    the stack index of the frame binding it (-1 for the names of `ctx`).
+    Under `_LEVEL` and `_TRACE` the walk decides each block's order
+    condition.
     Every open block keeps a staircase (see `_add`) of the variables
     occurring in it so far, keyed by their order.  The variables free in
     the block at index i are those placed below i, so its least free
@@ -253,9 +254,17 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
     variable, and per block a slot filled with its order condition when
     the block is left.
 
-    `_ETA` is `_TYPE` that also notes whether the term, taken as
-    canonical, is eta-long: every abstraction body is ground, and so is
-    every variable or application standing as the root or as an argument.
+    A block is closed when no name in it is placed below its own index
+    (under `_TYPE` each frame keeps the least index it meets).  Under
+    `_TYPE` and `_LEVEL` the walk keeps the type of each closed block it
+    leaves on it, and under `_LEVEL` whether no failure came since it was
+    entered; a node below the root that keeps them is taken as typed, and
+    as a failure when it is not Safe, without entering it.
+
+    `_ETA` types as `_TYPE` does, without the indices, and also notes
+    whether the term, taken as canonical, is eta-long: every abstraction
+    body is ground, and so is every variable or application standing as
+    the root or as an argument.
     It keeps the frame of each application whose head is an abstraction,
     in pre-order, to read the head's type off at the end.
 
@@ -264,65 +273,81 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
     the term is eta-long, and otherwise the types of its abstractions in
     head position, in pre-order.  Locations are spelled out for each trace
     entry; otherwise they are spelled out from the stack on an error.
-    From an empty `ctx`, the type is also kept on `term` as its
-    `closed_type`.
+    Under `_ETA` and `_TRACE`, from an empty `ctx`, the type is also kept
+    on `term` as its `closed_type`.
     """
-    levels, traced = mode >= _LEVEL, mode == _TRACE
+    levels, traced, typing = mode >= _LEVEL, mode == _TRACE, mode == _TYPE
+    placed, memo = mode != _ETA, typing or mode == _LEVEL  # memo: kept facts serve
     closed = not ctx
     eta = mode == _ETA  # until a block or an argument shows otherwise
     redexes: Optional[list] = [] if eta else None
-    if levels:
-        ctx = {n: (ty, -1) for n, ty in ctx.items()}
+    if placed:
+        ctx = {n: (ty, -1) for n, ty in ctx.items()} if ctx else {}
     trace: Optional[list] = [] if traced else None
-    root_failed = inner_failed = False
+    root_failed = False
+    # slot 3 of a new frame: under `_TYPE` the least index met in the block;
+    # otherwise the failures below the root so far (or the trace slot)
+    mark = 1 << 62 if typing else 0
     # a frame per block entered and not yet left: [Abs, location,
-    # staircase, trace slot, shadowed entries of ctx] or [App, location,
-    # staircase, trace slot, head type, index of the argument typed last];
+    # staircase, slot 3, shadowed entries of ctx] or [App, location,
+    # staircase, slot 3, head type, index of the argument typed last];
     # the staircase is None while empty
     stack: list = []
     t = term
     loc = at = ""
     while True:
-        # go down through blocks to the variable they start with
+        # go down through blocks to the variable they start with, or a node kept typed
         while True:
+            if type(t) is Var:
+                break
+            if memo and stack and t.closed_type is not None and (typing or t.closed_safe is not None):
+                break
             if type(t) is App:
-                frame = [t, loc, None, 0, None, 0]
+                frame = [t, loc, None, mark, None, 0]
                 if redexes is not None and type(t.head) is Abs:
                     redexes.append(frame)
                 t, step = t.head, "head"
             elif type(t) is Abs:
                 binders = t.binders
                 # the entries the binders shadow, None where nothing is shadowed
-                frame = [t, loc, None, 0, tuple(map(ctx.get, map(_binder_name, binders)))]
-                if levels:
+                frame = [t, loc, None, mark, tuple(map(ctx.get, map(_binder_name, binders)))]
+                if placed:
                     depth = len(stack)
-                    ctx.update([(n, (ty, depth)) for n, ty in binders])
+                    for name, bound in binders:  # a loop: no comprehension frame
+                        ctx[name] = (bound, depth)
                 else:
                     ctx.update(binders)
                 t, step = t.body, "body"
             else:
-                break
+                raise TypeError(f"not a term: {t!r}")
             stack.append(frame)
             if traced:
                 frame[3] = len(trace)
                 trace.append(None)  # this block's entry, filled in on leaving
                 loc = f"{loc}.{step}" if loc else step
-        if type(t) is not Var:
-            raise TypeError(f"not a term: {t!r}")
-        ty = ctx.get(t.name)
-        if ty is None:
-            raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(stack))
-        if levels:
-            ty, depth = ty
-            if traced:
-                trace.append(TraceEntry("var", loc, ty.order))
-            if stack:
-                frame = stack[-1]
-                key = (ty.order, t.name) if traced else ty.order
-                if frame[2] is None:
-                    frame[2] = [(depth, key)]
-                else:
-                    _add(frame[2], depth, key)
+        if type(t) is Var:
+            ty = ctx.get(t.name)
+            if ty is None:
+                raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(stack))
+            if placed:
+                ty, depth = ty
+                if traced:
+                    trace.append(TraceEntry("var", loc, ty.order))
+                if stack:
+                    frame = stack[-1]
+                    if typing:
+                        if depth < frame[3]:
+                            frame[3] = depth
+                    else:
+                        key = (ty.order, t.name) if traced else ty.order
+                        if frame[2] is None:
+                            frame[2] = [(depth, key)]
+                        else:
+                            _add(frame[2], depth, key)
+        else:  # typed before, and closed: nothing free to note
+            ty = t.closed_type
+            if levels and not t.closed_safe:
+                mark += 1
 
         # ty is the type of the node just typed: go on with its siblings,
         # typing variable arguments in place, and leave the blocks it ends
@@ -366,8 +391,12 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                         frame[5] = i
                         where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
                         raise UnboundVariableError(f"unbound variable {t.name!r}", where)
-                    if levels:
+                    if placed:
                         ty, depth = ty
+                        if typing:
+                            if depth < frame[3]:
+                                frame[3] = depth
+                            continue
                         key = ty.order
                         if traced:
                             trace.append(TraceEntry("var", f"{at}.arg{i}" if at else f"arg{i}", key))
@@ -385,6 +414,13 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 ty = SimpleType(rest) if rest else GROUND
                 rule = "app"
             stack.pop()
+            if typing:
+                least = frame[3]
+                if least >= len(stack):
+                    keep_closed_type(node, ty)
+                elif stack and least < stack[-1][3]:
+                    stack[-1][3] = least
+                continue
             if not levels:
                 continue
             # the block's order condition against its free variables
@@ -397,7 +433,7 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 ok = (key[0] if traced else key) >= ty.order
                 if not ok:
                     if stack:
-                        inner_failed = True
+                        mark += 1
                     else:
                         root_failed = True
                 if traced:
@@ -415,14 +451,16 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                             _add(above[2], d, key)
             elif traced:
                 trace[frame[3]] = TraceEntry(rule, frame[1], ty.order)
+            else:  # closed: Safe when no failure came since it was entered
+                keep_closed_type(node, ty, mark == frame[3])
         else:
-            if closed:
+            if closed and not memo:
                 keep_closed_type(term, ty)
             if not levels:
                 if redexes is None or (eta and (not ty.arguments or type(term) is Abs)):
                     return ty, None, None
                 return ty, None, [f[4] for f in redexes]
-            if inner_failed:
+            if mark:
                 level = Level.UNSAFE_TYPABLE
             elif root_failed:
                 level = Level.ALMOST_SAFE
@@ -441,7 +479,7 @@ def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
         ty = term.closed_type
         if ty is not None:
             return ty
-    return _walk(dict(env), term, _TYPE)[0]
+    return _walk(env, term, _TYPE)[0]
 
 
 def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:

@@ -26,15 +26,17 @@ Python's recursion limit; ``pretty`` and ``type_text`` print with one
 too.  ``parse`` reads each binder block ``\\ ... .`` as one token and
 takes its binders from a bounded table keyed by the block text, since few
 block texts recur in many terms; on any failure it reads the text again
-token by token, which spells the error out.  The parser builds the
-written grouping; only when it is not canonical (an abstraction stands
-directly in an abstraction body or an application in head position)
-does it run the rebuild that ``canonicalize`` uses, a bottom-up fold
-over ``mk_abs`` and ``mk_app``.  A term's ``size`` and whether it is
-``canonical`` are set when its node is built, from its children's, which
-always exist first, so no code walks a term to learn either.  Nodes have
+token by token, which spells the error out.  Within one text it builds
+each repeated subterm once, so facts kept on a node serve every copy.
+The parser builds the written grouping; only when it is not canonical
+(an abstraction stands directly in an abstraction body or an application
+in head position) does it run the rebuild that ``canonicalize`` uses, a
+bottom-up fold over ``mk_abs`` and ``mk_app``.  A term's ``size`` and
+whether it is ``canonical`` are set when its node is built, from its
+children's, which always exist first, so no code walks a term to learn
+either.  Nodes have
 ``__slots__`` and no instance dict, one slot per field and per cached
-fact, so a term held in memory costs 48 to 88 bytes a node.  Only
+fact, so a term held in memory costs 48 to 96 bytes a node.  Only
 ``free_names`` is filled lazily, once per node, bottom-up without
 recursion: a set on every node would cost more than the node.  ``==``
 and ``hash`` walk with an explicit stack too.
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
+from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
 
@@ -175,9 +178,10 @@ class Term:
     measure budgets use), and `canonical`, whether no Abs stands directly
     in an Abs body and no App as an App head anywhere in it; both are set
     when the node is built.  `closed_type` is the simple type of a closed,
-    well-typed term, kept in its node by `keep_closed_type` the first time
-    :mod:`safelc.safety` types the term from an empty context, and None
-    until then and on every other term.
+    well-typed Abs or App, kept in its node by `keep_closed_type` the first
+    time a walk of :mod:`safelc.safety` finds it closed, and None until then
+    and on every other term.  `closed_safe`, whether the term is Safe (None
+    while unknown), is set with it only, so a node is built without it.
 
     Nodes have slots and no instance dict: a slot per field and per cached
     fact, the lazy ones (`free_names`, `binder_names`) None until first
@@ -238,7 +242,7 @@ class Var(Term):
 
 
 class Abs(Term):
-    __slots__ = ("binders", "body", "size", "canonical", "closed_type", "_binder_names")
+    __slots__ = ("binders", "body", "size", "canonical", "closed_type", "closed_safe", "_binder_names")
 
     binders: tuple[Binder, ...]
     body: Term
@@ -274,7 +278,7 @@ class Abs(Term):
 
 
 class App(Term):
-    __slots__ = ("head", "args", "size", "canonical", "closed_type")
+    __slots__ = ("head", "args", "size", "canonical", "closed_type", "closed_safe")
 
     head: Term
     args: tuple[Term, ...]
@@ -309,11 +313,19 @@ _abs_closed_type, _abs_binder_names = Abs.closed_type.__set__, Abs._binder_names
 _app_head, _app_args = App.head.__set__, App.args.__set__
 _app_size, _app_canonical = App.size.__set__, App.canonical.__set__
 _app_closed_type = App.closed_type.__set__
+_CLOSED_FACTS = {  # the setters of `closed_type` and `closed_safe`, by kind
+    Abs: (_abs_closed_type, Abs.closed_safe.__set__),
+    App: (_app_closed_type, App.closed_safe.__set__),
+}
 
 
-def keep_closed_type(term: Term, ty: SimpleType) -> None:
-    """Keep `ty` as the `closed_type` of `term`, a closed Abs or App."""
-    (_abs_closed_type if type(term) is Abs else _app_closed_type)(term, ty)
+def keep_closed_type(term: Term, ty: SimpleType, safe: Optional[bool] = None) -> None:
+    """Keep `ty` as the `closed_type` of `term`, a closed Abs or App, and
+    `safe` as its `closed_safe`; a type alone only where none is kept."""
+    if safe is not None or term.closed_type is None:
+        set_type, set_safe = _CLOSED_FACTS[type(term)]
+        set_type(term, ty)
+        set_safe(term, safe)
 
 
 def _fill_free_names(node: Term) -> frozenset[str]:
@@ -461,22 +473,27 @@ def canonicalize(term: Term) -> Term:
 def _regroup(term: Term) -> Term:
     """Rebuild every non-canonical node bottom-up with `mk_abs` and
     `mk_app`, with an explicit stack; canonical subterms are kept as the
-    same objects."""
+    same objects, and a node met twice is rebuilt once."""
     done: list[Term] = []  # rebuilt subterms, in order
     todo: list = [term]  # a term to enter, or (term,) to rebuild
+    rebuilt: dict[int, Term] = {}  # by the id of the node, which `term` holds
     while todo:
         t = todo.pop()
         if type(t) is tuple:
             t = t[0]
             if type(t) is Abs:
-                done.append(mk_abs(t.binders, done.pop()))
+                new = mk_abs(t.binders, done.pop())
             else:
                 n = len(t.args)
                 args = tuple(done[-n:])
                 del done[-n:]
-                done.append(mk_app(done.pop(), args))
+                new = mk_app(done.pop(), args)
+            done.append(new)
+            rebuilt[id(t)] = new
         elif t.canonical:
             done.append(t)
+        elif id(t) in rebuilt:
+            done.append(rebuilt[id(t)])
         elif type(t) is Abs:
             todo += ((t,), t.body)
         else:
@@ -523,36 +540,39 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
     Grouping is compared as-is: a two-binder block is not alpha-equal to
     the same binders split over two nested blocks.  Binder annotations
-    must match exactly.
+    must match exactly.  The terms are walked with an explicit stack, so
+    nesting depth is not limited by Python's recursion limit.
     """
     if a is b:
         return True
-
-    def go(a: Term, b: Term, ma: dict[str, int], mb: dict[str, int], depth: int) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            sa, sb = ma.get(a.name), mb.get(b.name)
-            if sa is None and sb is None:
-                return a.name == b.name
-            return sa is not None and sa == sb
-        if isinstance(a, Abs) and isinstance(b, Abs):
+    # subterm pairs to compare, with each side's bound names' depths and the depth
+    todo = [(a, b, {}, {}, 0)]
+    while todo:
+        a, b, ma, mb, depth = todo.pop()
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Var:  # a bound name stands for its depth, a free one for itself
+            if ma.get(a.name, a.name) != mb.get(b.name, b.name):
+                return False
+        elif kind is Abs:
             if len(a.binders) != len(b.binders):
                 return False
-            if any(ta != tb for (_, ta), (_, tb) in zip(a.binders, b.binders)):
+            if any(ta is not tb for (_, ta), (_, tb) in zip(a.binders, b.binders)):
                 return False
-            ma2, mb2 = dict(ma), dict(mb)
-            for i, ((na, _), (nb, _)) in enumerate(zip(a.binders, b.binders)):
-                ma2[na] = depth + i
-                mb2[nb] = depth + i
-            return go(a.body, b.body, ma2, mb2, depth + len(a.binders))
-        if isinstance(a, App) and isinstance(b, App):
+            ma, mb = dict(ma), dict(mb)
+            for (na, _), (nb, _) in zip(a.binders, b.binders):
+                ma[na] = mb[nb] = depth
+                depth += 1
+            todo.append((a.body, b.body, ma, mb, depth))
+        elif kind is App:
             if len(a.args) != len(b.args):
                 return False
-            if not go(a.head, b.head, ma, mb, depth):
-                return False
-            return all(go(x, y, ma, mb, depth) for x, y in zip(a.args, b.args))
-        return False
-
-    return go(a, b, {}, {}, 0)
+            todo += zip(reversed(a.args), reversed(b.args), repeat(ma), repeat(mb), repeat(depth))
+            todo.append((a.head, b.head, ma, mb, depth))
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +714,10 @@ class _Parser:
     def term_at(self, i: int) -> tuple[Term, int]:
         """The term starting at token i, as written, and the index after it."""
         tokens, no_atom = self.tokens, _NO_ATOM
+        # the nodes built, so a subterm written twice is one object: a Var by
+        # its name, an Abs or App by its class and the ids of its parts, which
+        # stay valid while the nodes holding those parts are here
+        nodes: dict = {}
         # frames: a binder tuple waits for its body, a list gathers the
         # atoms of an application, None waits for a ')'
         stack: list = []
@@ -718,7 +742,7 @@ class _Parser:
                 if tok is None or tok[0] in no_atom:
                     self.fail(i, f"expected variable, found {tok!r}")
                 i += 1
-                t: Term = Var(tok)
+                t: Term = nodes.get(tok) or nodes.setdefault(tok, Var(tok))
                 while True:  # t is an atom of the application on top
                     atoms = stack[-1]
                     atoms.append(t)
@@ -728,9 +752,18 @@ class _Parser:
                     stack.pop()
                     t = atoms[0]
                     if len(atoms) > 1:
-                        t = App(t, tuple(atoms[1:]))
+                        if not stack:  # the root, which no other node repeats
+                            t = App(t, tuple(atoms[1:]))
+                        else:
+                            key = (App, id(t), id(atoms[1])) if len(atoms) == 2 else (App, *map(id, atoms))
+                            t = nodes.get(key) or nodes.setdefault(key, App(t, tuple(atoms[1:])))
                     while stack and type(stack[-1]) is tuple:
-                        t = Abs(stack.pop(), t)
+                        binders = stack.pop()
+                        if not stack:
+                            t = Abs(binders, t)
+                        else:
+                            key = (Abs, id(binders), id(t))
+                            t = nodes.get(key) or nodes.setdefault(key, Abs(binders, t))
                     if not stack:
                         return t, i
                     if tokens[i] != ")":
@@ -794,7 +827,8 @@ def parse(text: str, canonical: bool = True) -> Term:
     """Parse a term; by default the result is canonicalized.
 
     Pass canonical=False to keep the grouping exactly as written, e.g. to
-    feed the safety checker an ungrouped abstraction chain.
+    feed the safety checker an ungrouped abstraction chain.  Within the
+    text, a subterm written twice is one object, as is each name's `Var`.
     """
     try:
         t = _Parser(text, blocks=True).whole(_Parser.term_at)

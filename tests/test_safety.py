@@ -11,7 +11,14 @@ from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import conditional_candidates
 from safelc.hardness import enumerate_qbfs, equality_instance, qbf_to_term
 from safelc.qbf import parse_qbf
-from safelc.reduction import Strategy, normalize
+from safelc.reduction import (
+    BudgetExceededError,
+    CaptureViolation,
+    ReductionBudget,
+    Strategy,
+    beta_eta_equal,
+    normalize,
+)
 from safelc.safety import (
     ArgumentMismatchError,
     Level,
@@ -28,6 +35,7 @@ from safelc.safety import (
 from safelc.syntax import (
     Abs,
     App,
+    ParseError,
     SimpleType,
     Term,
     TypeEnv,
@@ -36,6 +44,7 @@ from safelc.syntax import (
     alpha_eq,
     canonicalize,
     fresh_names,
+    keep_closed_type,
     mk_app,
     parse,
     parse_env,
@@ -460,6 +469,133 @@ def test_simple_type_of_matches_reference_cold_and_warm():
         assert simple_type_of({}, t) is want
         assert t.closed_type is want
         assert simple_type_of({}, t) is want
+
+
+def test_each_walk_keeps_the_type_of_each_closed_block():
+    t = parse(r"\y:o. (\x:o. x) ((\x:o. x) y)")
+    identity, inner = t.body.head, t.body.args[0]
+    assert identity is inner.head  # one object: the parser shares it
+    assert simple_type_of({}, t) == parse_type("o->o")
+    assert identity.closed_type == parse_type("o->o") and identity.closed_safe is None
+    assert (t.body.closed_type, inner.closed_type) == (None, None)  # y is free
+    assert safety_check({}, t).level is Level.SAFE
+    assert identity.closed_safe is True and t.closed_safe is True
+    assert t.body.closed_type is None
+
+
+def test_a_kept_type_stands_in_for_the_walk_below_the_root():
+    t = parse(r"\y:o. (\x:o. x) y")
+    keep_closed_type(t.body.head, parse_type("o"))  # planted: not its type
+    with pytest.raises(TooManyArgumentsError):
+        simple_type_of({}, t)
+    # at the root the block is walked, unless read off from the empty context
+    assert simple_type_of(parse_env("z:o"), t.body.head) == parse_type("o->o")
+
+
+_T = "((o->o)->o)->o"
+_TWIST = r"(\f:(o->o)->o. f (\x:o. f (\y:o. x)))"  # 7b's Kierstead twist
+
+
+def test_a_closed_unsafe_subterm_written_twice_fails_at_each_copy():
+    t = parse(rf"(\a:{_T} b:{_T}. a) {_TWIST} {_TWIST}")
+    twist = t.args[0]
+    assert twist is t.args[1]
+    want = _reference_safety_check({}, copy_term(t))
+    for _ in range(2):  # cold, then warm
+        verdict = safety_check({}, t)
+        assert (verdict.level, verdict.type) == (Level.UNSAFE_TYPABLE, parse_type(_T))
+        assert [e.location for e in verdict.failures] == [
+            "arg0.body.arg0.body.arg0",
+            "arg1.body.arg0.body.arg0",
+        ]
+        assert verdict == want
+    assert (twist.closed_type, twist.closed_safe) == (parse_type(_T), False)
+
+
+@pytest.mark.parametrize("level, body", [(Level.SAFE, "y"), (Level.UNSAFE_TYPABLE, "x")])
+def test_facts_kept_under_an_environment_hold_under_any_other(level, body):
+    closed = parse(rf"\f:(o->o)->o. f (\x:o. f (\y:o. {body}))")
+    env = parse_env(f"g:({_T})->o, f:o")
+    assert safety_check(env, App(Var("g"), (closed,))).level is level
+    assert (closed.closed_type, closed.closed_safe) == (parse_type(_T), level is Level.SAFE)
+    for env, term in (
+        ({}, closed),  # the kept block at the root, its kept inner blocks below
+        ({}, Abs((("h", parse_type(f"({_T})->o")),), App(Var("h"), (closed,)))),
+        (parse_env("x:o->o"), App(closed, (Abs((("k", parse_type("o->o")),), Var("x")),))),
+    ):
+        want = _reference_safety_check(env, copy_term(term))
+        assert safety_check(env, term) == want
+        assert _typed(env, term, simple_type_of) == _typed(env, copy_term(term), simple_type_of)
+
+
+# sharing changes no output: each parse, shared, against an unshared copy
+
+# small enough that a diverging ill-typed input stops in a few ms
+_BUDGET = ReductionBudget(max_steps=300, max_term_size=3_000)
+
+
+def _outputs(env: TypeEnv, term: Term, other: Term) -> list:
+    verdict = safety_check(env, term)
+    out = [verdict.level, verdict.type, verdict.trace, verdict.failures]
+    out.append(_typed(env, term, simple_type_of))
+    for run in (
+        lambda: eta_long(env, term),
+        lambda: normalize(term, Strategy.PLAIN, _BUDGET),
+        lambda: normalize(term, Strategy.SAFE, _BUDGET),
+        lambda: beta_eta_equal(env, term, other, _BUDGET),
+    ):
+        try:
+            out.append(run())
+        except (TypeCheckError, BudgetExceededError, CaptureViolation) as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
+def _assert_sharing_changes_no_output(text: str, env: TypeEnv, other_text: str = r"\x:o. x"):
+    for canonical in (True, False):
+        try:
+            shared = parse(text, canonical=canonical)
+        except ParseError:
+            continue
+        other = parse(other_text)
+        unshared = copy_term(shared)
+        want = _outputs(env, unshared, copy_term(other))
+        assert _outputs(env, shared, other) == want  # cold
+        assert _outputs(env, shared, other) == want  # warm
+        assert _outputs(env, unshared, copy_term(other)) == want
+
+
+def test_sharing_changes_no_output_on_hand_corpus():
+    for entry in HAND_CORPUS:
+        _assert_sharing_changes_no_output(pretty(entry.term), entry.env)
+
+
+def test_sharing_changes_no_output_on_generated_corpus():
+    for t in generate_safe_corpus(300, 3):
+        _assert_sharing_changes_no_output(pretty(t), {}, r"\x:o y:o. x")
+
+
+def test_sharing_changes_no_output_on_criterion_5_pairs():
+    for f in itertools.islice(enumerate_qbfs(3, 3), 5, 60 * 706, 706):
+        lhs, rhs = equality_instance(f)
+        _assert_sharing_changes_no_output(pretty(lhs), {}, pretty(rhs))
+
+
+_EDITS = [r"\x:o.", "x", " ", "(", ")", "o->o", "f"]
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(terms, st.dictionaries(names, types), st.data())
+def test_sharing_changes_no_output_on_repeated_and_mutated_texts(t, env, data):
+    text = pretty(App(t, (t, t)))
+    _assert_sharing_changes_no_output(text, env)
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at] + data.draw(st.sampled_from(_EDITS)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    _assert_sharing_changes_no_output(text, env)
 
 
 @hyp.given(st.lists(st.tuples(st.integers(-1, 5), st.integers(0, 4)), min_size=1, max_size=12))

@@ -523,6 +523,61 @@ def test_alpha_eq_of_a_term_and_itself_at_default_recursion_limit():
         assert alpha_eq(t, t)
 
 
+def test_alpha_eq_of_two_copies_at_default_recursion_limit():
+    copied, shorter = copy_term(church_nat(3_000)), church_nat(2_999)
+    renamed = parse(pretty(church_nat(3_000)).replace("s", "t"))
+    with recursion_limit(1_000):
+        assert alpha_eq(copied, church_nat(3_000))
+        assert alpha_eq(renamed, church_nat(3_000))
+        assert not alpha_eq(copied, shorter)
+
+
+# --------------------------------------------------------------------------
+# nodes shared within one parse
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        r"\f:o->o->o y:o. f ((\x:o. f x x) y) ((\x:o. f x x) y)",
+        r"\f:o->o->o y:o. f ((\x:o. \z:o. f x z) y y) ((\x:o. \z:o. f x z) y y)",
+    ],
+)
+def test_parse_shares_a_repeated_group_and_each_name(text):
+    for canonical in (True, False):
+        t = parse(text, canonical=canonical)
+        first, second = t.body.args
+        assert first is second
+        for name in ("f", "x", "y"):
+            occurrences = [v for v in subterms(t) if type(v) is Var and v.name == name]
+            assert len(occurrences) > 1 and all(v is occurrences[0] for v in occurrences)
+        unshared = copy_term(t)
+        assert unshared.body.args[0] is not unshared.body.args[1]
+        assert t == unshared and hash(t) == hash(unshared)
+        assert (repr(t), pretty(t), t.size) == (repr(unshared), pretty(unshared), unshared.size)
+
+
+def test_parse_shares_nothing_between_texts():
+    text = r"(\x:o. x) ((\x:o. x) y)"
+    a, b = parse(text), parse(text)
+    assert a == b and not {id(t) for t in subterms(a)} & {id(t) for t in subterms(b)}
+
+
+@hyp.given(terms)
+def test_parse_shares_each_copy_of_a_repeated_term(t):
+    _BLOCKS.clear()  # so no table flush falls between the copies
+    text = pretty(App(t, (t, t)))
+    shared = parse(text, canonical=False)
+    assert shared.head is shared.args[0] is shared.args[1]
+    assert shared == App(t, (t, t))
+    for canonical in (True, False):
+        got = parse(text, canonical=canonical)
+        unshared = copy_term(got)
+        assert got == unshared and hash(got) == hash(unshared)
+        assert (repr(got), pretty(got), got.size) == (repr(unshared), pretty(unshared), unshared.size)
+        assert got == _reference_parse(text, canonical=canonical)
+
+
 # --------------------------------------------------------------------------
 # the iterative parser against the recursive one
 #
