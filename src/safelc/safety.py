@@ -21,20 +21,21 @@ at the root node only (the shape application sequences pass through while
 being built up, and the shape a partial block contraction re-wraps into);
 everything below the root must still pass.
 
-``simple_type_of`` and ``safety_check`` share one typing walk with an
-explicit stack, so neither recurses however deep the term is.  The check
-decides each block's condition in that walk from a few (binding depth,
-order) pairs per open block, with no free-variable sets and no trace.
-The derivation, one ``TraceEntry`` per node, is spelled out by the same
-walk only when a verdict's ``trace`` is first read, as ``safelc check
+As in the paper, one derivation gives a term's type and shows whether it
+is safe: ``simple_type_of`` and ``safety_check`` run the same walk, with
+an explicit stack, so neither recurses however deep the term is.  The
+walk decides each block's condition from a few (binding depth, order)
+pairs per open block, with no free-variable sets and no trace.  The
+derivation, one ``TraceEntry`` per node, is spelled out by the same walk
+only when a verdict's ``trace`` is first read, as ``safelc check
 --trace`` does, or its failures are listed for a term that is not Safe.
-``eta_long`` types the term in the same walk, which also notes whether
-it is eta-long already, and expands it, when it is not, with an explicit
-stack.  A closed subterm has one type and one level (Safe or
-UnsafeTypable) wherever it stands, so it is typed and checked once per
-object: the walks of ``simple_type_of`` and ``safety_check`` keep them on
-each closed block they leave (:func:`safelc.syntax.keep_closed_type`) and
-take such a node below the root as typed without entering it.
+``eta_long`` types the term in the same walk, which notes whether it is
+eta-long already instead of its level, and expands it, when it is not,
+with an explicit stack.  A closed subterm has one type and one level
+(Safe or UnsafeTypable) wherever it stands, so it is typed and checked
+once per object: the walk keeps both on each closed block it leaves
+(:func:`safelc.syntax.keep_closed_type`) and takes such a node below the
+root as typed and checked without entering it.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ def _arg_error(head: SimpleType, nargs: int, i: int, got: SimpleType, location: 
 
 _binder_name, _binder_type = itemgetter(0), itemgetter(1)
 
-# what `_walk` works out besides the type: nothing, whether the term is
-# eta-long, the safety level, or the level and the derivation
-_TYPE, _ETA, _LEVEL, _TRACE = range(4)
+# what `_walk` works out besides the type: whether the term is eta-long,
+# the safety level, or the level and the derivation
+_ETA, _LEVEL, _TRACE = range(3)
 
 
 def _add(stair: list, depth: int, key) -> None:
@@ -231,67 +232,58 @@ def _add(stair: list, depth: int, key) -> None:
     stair[j:e] = ((depth, key),)
 
 
-def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType, Optional[Level], Optional[list]]:
-    """Type `term` in `ctx` in one depth-first pass with an explicit stack.
+def _walk(env: TypeEnv, term: Term, mode: int) -> tuple[SimpleType, Optional[Level], Optional[list]]:
+    """Type `term` in `env` in one depth-first pass with an explicit stack.
 
-    Under `_ETA`, `ctx` is updated on entering a block and restored on
-    leaving it, so it is as it was when this returns.  The head of an App
-    is typed before its arguments, and each argument is checked as soon as
-    it is typed, so the first error is the one a left-to-right recursive
-    typing would meet.
+    The walk types in a context `ctx` that places each name at the stack
+    index of the frame binding it (-1 for the names of `env`).  The head
+    of an App is typed before its arguments, and each argument is checked
+    as soon as it is typed, so the first error is the one a left-to-right
+    recursive typing would meet.
 
-    The other modes work on a copy of `ctx` that also places each name at
-    the stack index of the frame binding it (-1 for the names of `ctx`).
     Under `_LEVEL` and `_TRACE` the walk decides each block's order
-    condition.
-    Every open block keeps a staircase (see `_add`) of the variables
-    occurring in it so far, keyed by their order.  The variables free in
-    the block at index i are those placed below i, so its least free
-    order is the key of the last pair placed below i; on leaving it, the
-    pairs placed below i-1 go on to the parent.  Under `_TRACE` keys are
-    (order, name), so the least one also names the variable attaining
-    it, and the walk appends the derivation in pre-order: an entry per
-    variable, and per block a slot filled with its order condition when
-    the block is left.
+    condition.  Every open block keeps a staircase (see `_add`) of the
+    variables occurring in it so far, keyed by their order.  The
+    variables free in the block at index i are those placed below i, so
+    its least free order is the key of the last pair placed below i; on
+    leaving it, the pairs placed below i-1 go on to the parent.  Under
+    `_TRACE` keys are (order, name), so the least one also names the
+    variable attaining it, and the walk appends the derivation in
+    pre-order: an entry per variable, and per block a slot filled with
+    its order condition when the block is left.
 
-    A block is closed when no name in it is placed below its own index
-    (under `_TYPE` each frame keeps the least index it meets).  Under
-    `_TYPE` and `_LEVEL` the walk keeps the type of each closed block it
-    leaves on it, and under `_LEVEL` whether no failure came since it was
-    entered; a node below the root that keeps them is taken as typed, and
-    as a failure when it is not Safe, without entering it.
+    A block is closed when its staircase holds no pair placed below its
+    own index.  Under `_LEVEL` the walk keeps on each closed block it
+    leaves its type and whether no failure came since it was entered
+    (:func:`safelc.syntax.keep_closed_type`); a node below the root that
+    keeps them is taken as typed, and as a failure when it is not Safe,
+    without entering it.
 
-    `_ETA` types as `_TYPE` does, without the indices, and also notes
-    whether the term, taken as canonical, is eta-long: every abstraction
-    body is ground, and so is every variable or application standing as
-    the root or as an argument.
-    It keeps the frame of each application whose head is an abstraction,
-    in pre-order, to read the head's type off at the end.
+    `_ETA` notes no staircases and keeps nothing; it notes instead whether
+    the term, taken as canonical, is eta-long: every abstraction body is
+    ground, and so is every variable or application standing as the root
+    or as an argument.  It keeps the frame of each application whose head
+    is an abstraction, in pre-order, to read the head's type off at the
+    end.
 
-    Returns the type, the level (None under `_TYPE` and `_ETA`) and the
-    derivation under `_TRACE`.  Under `_ETA` the third item is None when
-    the term is eta-long, and otherwise the types of its abstractions in
-    head position, in pre-order.  Locations are spelled out for each trace
+    Returns the type, the level (None under `_ETA`) and the derivation
+    under `_TRACE`.  Under `_ETA` the third item is None when the term is
+    eta-long, and otherwise the types of its abstractions in head
+    position, in pre-order.  Locations are spelled out for each trace
     entry; otherwise they are spelled out from the stack on an error.
-    Under `_ETA` and `_TRACE`, from an empty `ctx`, the type is also kept
-    on `term` as its `closed_type`.
     """
-    levels, traced, typing = mode >= _LEVEL, mode == _TRACE, mode == _TYPE
-    placed, memo = mode != _ETA, typing or mode == _LEVEL  # memo: kept facts serve
-    closed = not ctx
-    eta = mode == _ETA  # until a block or an argument shows otherwise
-    redexes: Optional[list] = [] if eta else None
-    if placed:
-        ctx = {n: (ty, -1) for n, ty in ctx.items()} if ctx else {}
+    levels, traced, memo = mode != _ETA, mode == _TRACE, mode == _LEVEL  # memo: kept facts serve
+    eta = not levels  # until a block or an argument shows otherwise
+    redexes: Optional[list] = None if levels else []
+    ctx = {n: (ty, -1) for n, ty in env.items()} if env else {}
     trace: Optional[list] = [] if traced else None
     root_failed = False
-    # slot 3 of a new frame: under `_TYPE` the least index met in the block;
-    # otherwise the failures below the root so far (or the trace slot)
-    mark = 1 << 62 if typing else 0
+    mark = 0  # the failures below the root so far
     # a frame per block entered and not yet left: [Abs, location,
-    # staircase, slot 3, shadowed entries of ctx] or [App, location,
-    # staircase, slot 3, head type, index of the argument typed last];
-    # the staircase is None while empty
+    # staircase, mark, shadowed entries of ctx] or [App, location,
+    # staircase, mark, head type, index of the argument typed last], where
+    # mark is its value on entry (under `_TRACE`, the trace slot of the
+    # block instead); the staircase is None while empty
     stack: list = []
     t = term
     loc = at = ""
@@ -300,7 +292,7 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
         while True:
             if type(t) is Var:
                 break
-            if memo and stack and t.closed_type is not None and (typing or t.closed_safe is not None):
+            if memo and stack and t.closed_type is not None:
                 break
             if type(t) is App:
                 frame = [t, loc, None, mark, None, 0]
@@ -311,12 +303,9 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 binders = t.binders
                 # the entries the binders shadow, None where nothing is shadowed
                 frame = [t, loc, None, mark, tuple(map(ctx.get, map(_binder_name, binders)))]
-                if placed:
-                    depth = len(stack)
-                    for name, bound in binders:  # a loop: no comprehension frame
-                        ctx[name] = (bound, depth)
-                else:
-                    ctx.update(binders)
+                depth = len(stack)
+                for name, bound in binders:  # a loop: no comprehension frame
+                    ctx[name] = (bound, depth)
                 t, step = t.body, "body"
             else:
                 raise TypeError(f"not a term: {t!r}")
@@ -329,24 +318,19 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
             ty = ctx.get(t.name)
             if ty is None:
                 raise UnboundVariableError(f"unbound variable {t.name!r}", loc if traced else _where(stack))
-            if placed:
-                ty, depth = ty
-                if traced:
-                    trace.append(TraceEntry("var", loc, ty.order))
-                if stack:
-                    frame = stack[-1]
-                    if typing:
-                        if depth < frame[3]:
-                            frame[3] = depth
-                    else:
-                        key = (ty.order, t.name) if traced else ty.order
-                        if frame[2] is None:
-                            frame[2] = [(depth, key)]
-                        else:
-                            _add(frame[2], depth, key)
-        else:  # typed before, and closed: nothing free to note
+            ty, depth = ty
+            if traced:
+                trace.append(TraceEntry("var", loc, ty.order))
+            if levels and stack:
+                frame = stack[-1]
+                key = (ty.order, t.name) if traced else ty.order
+                if frame[2] is None:
+                    frame[2] = [(depth, key)]
+                else:
+                    _add(frame[2], depth, key)
+        else:  # typed and checked before, and closed: nothing free to note
             ty = t.closed_type
-            if levels and not t.closed_safe:
+            if not t.closed_safe:
                 mark += 1
 
         # ty is the type of the node just typed: go on with its siblings,
@@ -391,20 +375,17 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                         frame[5] = i
                         where = (f"{at}.arg{i}" if at else f"arg{i}") if traced else _where(stack)
                         raise UnboundVariableError(f"unbound variable {t.name!r}", where)
-                    if placed:
-                        ty, depth = ty
-                        if typing:
-                            if depth < frame[3]:
-                                frame[3] = depth
-                            continue
-                        key = ty.order
-                        if traced:
-                            trace.append(TraceEntry("var", f"{at}.arg{i}" if at else f"arg{i}", key))
-                            key = (key, t.name)
-                        if frame[2] is None:
-                            frame[2] = [(depth, key)]
-                        else:
-                            _add(frame[2], depth, key)
+                    ty, depth = ty
+                    if not levels:
+                        continue
+                    key = ty.order
+                    if traced:
+                        trace.append(TraceEntry("var", f"{at}.arg{i}" if at else f"arg{i}", key))
+                        key = (key, t.name)
+                    if frame[2] is None:
+                        frame[2] = [(depth, key)]
+                    else:
+                        _add(frame[2], depth, key)
                 if i < len(args):
                     frame[5] = i
                     if traced:
@@ -414,13 +395,6 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
                 ty = SimpleType(rest) if rest else GROUND
                 rule = "app"
             stack.pop()
-            if typing:
-                least = frame[3]
-                if least >= len(stack):
-                    keep_closed_type(node, ty)
-                elif stack and least < stack[-1][3]:
-                    stack[-1][3] = least
-                continue
             if not levels:
                 continue
             # the block's order condition against its free variables
@@ -454,10 +428,8 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
             else:  # closed: Safe when no failure came since it was entered
                 keep_closed_type(node, ty, mark == frame[3])
         else:
-            if closed and not memo:
-                keep_closed_type(term, ty)
             if not levels:
-                if redexes is None or (eta and (not ty.arguments or type(term) is Abs)):
+                if eta and (not ty.arguments or type(term) is Abs):
                     return ty, None, None
                 return ty, None, [f[4] for f in redexes]
             if mark:
@@ -472,14 +444,16 @@ def _walk(ctx: dict[str, SimpleType], term: Term, mode: int) -> tuple[SimpleType
 def simple_type_of(env: TypeEnv, term: Term) -> SimpleType:
     """The unique simple type of a Church-annotated term, or a TypeCheckError.
 
-    A closed term typed before, by any of the walks here, is not walked
-    again: its type is the `closed_type` the first walk kept on it.
+    The walk is the one of `safety_check`, so it also keeps on each closed
+    block whether it is Safe.  A closed term typed or checked before is
+    not walked again: its type is the `closed_type` the first walk kept
+    on it.
     """
     if not env:
         ty = term.closed_type
         if ty is not None:
             return ty
-    return _walk(env, term, _TYPE)[0]
+    return _walk(env, term, _LEVEL)[0]
 
 
 def safety_check(env: TypeEnv, term: Term) -> SafetyVerdict:
@@ -512,11 +486,10 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     as it is, so canonical eta-long input comes back as the same object.
     """
     term = canonicalize(term)
-    ctx = dict(env)
-    ty, _, heads = _walk(ctx, term, _ETA)  # surface type errors before rewriting
+    ty, _, heads = _walk(env, term, _ETA)  # surface type errors before rewriting
     if heads is None:
         return term
-    return _expand(ctx, term, ty, iter(heads), env)
+    return _expand(dict(env), term, ty, iter(heads), env)
 
 
 def _expand(

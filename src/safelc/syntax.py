@@ -117,10 +117,6 @@ class SimpleType:
     def __reduce__(self):
         return SimpleType, (self.arguments,)
 
-    @property
-    def is_ground(self) -> bool:
-        return not self.arguments
-
     def __str__(self) -> str:
         return type_text(self, spaced=True)
 
@@ -177,11 +173,12 @@ class Term:
     Every node has `size`, its node count with binders included (the
     measure budgets use), and `canonical`, whether no Abs stands directly
     in an Abs body and no App as an App head anywhere in it; both are set
-    when the node is built.  `closed_type` is the simple type of a closed,
-    well-typed Abs or App, kept in its node by `keep_closed_type` the first
-    time a walk of :mod:`safelc.safety` finds it closed, and None until then
-    and on every other term.  `closed_safe`, whether the term is Safe (None
-    while unknown), is set with it only, so a node is built without it.
+    when the node is built.  `closed_type` and `closed_safe` are the simple
+    type of a closed, well-typed Abs or App and whether it is Safe, kept
+    together in its node by `keep_closed_type` the first time the walk of
+    `simple_type_of` or `safety_check` finds it closed.  `closed_type` is
+    None until then and on every other term; `closed_safe` is set with it
+    only, so a node is built without it.
 
     Nodes have slots and no instance dict: a slot per field and per cached
     fact, the lazy ones (`free_names`, `binder_names`) None until first
@@ -319,13 +316,12 @@ _CLOSED_FACTS = {  # the setters of `closed_type` and `closed_safe`, by kind
 }
 
 
-def keep_closed_type(term: Term, ty: SimpleType, safe: Optional[bool] = None) -> None:
+def keep_closed_type(term: Term, ty: SimpleType, safe: bool) -> None:
     """Keep `ty` as the `closed_type` of `term`, a closed Abs or App, and
-    `safe` as its `closed_safe`; a type alone only where none is kept."""
-    if safe is not None or term.closed_type is None:
-        set_type, set_safe = _CLOSED_FACTS[type(term)]
-        set_type(term, ty)
-        set_safe(term, safe)
+    `safe` as its `closed_safe`."""
+    set_type, set_safe = _CLOSED_FACTS[type(term)]
+    set_type(term, ty)
+    set_safe(term, safe)
 
 
 def _fill_free_names(node: Term) -> frozenset[str]:
@@ -578,12 +574,14 @@ def alpha_eq(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"  # a variable's name
+_NAME_RE = re.compile(_NAME)
 # a token, or any other non-space character, which is an error
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|->|[\\.():])|\S")
+_TOKEN_RE = re.compile(rf"({_NAME}|->|[\\.():])|\S")
 # the same tokens, except that a whole binder block '\ ... .' is one token:
 # the grammar puts no '\' or '.' inside a block, so it ends at the first '.';
 # a block token holds only characters of its tokens, and spaces
-_BLOCK_TOKEN_RE = re.compile(r"(\\[A-Za-z0-9_'\s():>-]*\.|[A-Za-z_][A-Za-z0-9_']*|->|[.():])|\S")
+_BLOCK_TOKEN_RE = re.compile(rf"(\\[A-Za-z0-9_'\s():>-]*\.|{_NAME}|->|[.():])|\S")
 
 _RESERVED = {"\\", ".", "(", ")", ":", "->"}
 _NO_ATOM = "\\.):-"  # first characters of the tokens no atom starts with
@@ -852,6 +850,8 @@ def parse_env(text: str) -> dict[str, SimpleType]:
         name = name.strip()
         if not name or not ty.strip():
             raise ValueError(f"bad environment entry {part!r}")
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"bad variable name {name!r}")
         if name in env:
             raise ValueError(f"duplicate environment entry {name!r}")
         env[name] = parse_type(ty)

@@ -90,6 +90,13 @@ def test_check_bad_env_is_usage_error(runner, lamfile):
     assert r.exit_code == 2
 
 
+def test_check_env_name_no_term_can_use_is_usage_error(runner, lamfile):
+    path = lamfile("id.lam", r"\x:o. x")
+    r = invoke(runner, ["check", path, "--env", "x y:o"])
+    assert r.exit_code == 2
+    assert r.output.startswith("error: bad --env: ")
+
+
 def test_check_unparseable_is_usage_error(runner, lamfile):
     r = invoke(runner, ["check", lamfile("bad.lam", r"\x:o.")])
     assert r.exit_code == 2

@@ -476,16 +476,16 @@ def test_each_walk_keeps_the_type_of_each_closed_block():
     identity, inner = t.body.head, t.body.args[0]
     assert identity is inner.head  # one object: the parser shares it
     assert simple_type_of({}, t) == parse_type("o->o")
-    assert identity.closed_type == parse_type("o->o") and identity.closed_safe is None
+    assert (identity.closed_type, identity.closed_safe) == (parse_type("o->o"), True)
+    assert (t.closed_type, t.closed_safe) == (parse_type("o->o"), True)
     assert (t.body.closed_type, inner.closed_type) == (None, None)  # y is free
     assert safety_check({}, t).level is Level.SAFE
-    assert identity.closed_safe is True and t.closed_safe is True
     assert t.body.closed_type is None
 
 
 def test_a_kept_type_stands_in_for_the_walk_below_the_root():
     t = parse(r"\y:o. (\x:o. x) y")
-    keep_closed_type(t.body.head, parse_type("o"))  # planted: not its type
+    keep_closed_type(t.body.head, parse_type("o"), True)  # planted: not its type
     with pytest.raises(TooManyArgumentsError):
         simple_type_of({}, t)
     # at the root the block is walked, unless read off from the empty context
@@ -497,19 +497,74 @@ _TWIST = r"(\f:(o->o)->o. f (\x:o. f (\y:o. x)))"  # 7b's Kierstead twist
 
 
 def test_a_closed_unsafe_subterm_written_twice_fails_at_each_copy():
-    t = parse(rf"(\a:{_T} b:{_T}. a) {_TWIST} {_TWIST}")
-    twist = t.args[0]
-    assert twist is t.args[1]
-    want = _reference_safety_check({}, copy_term(t))
-    for _ in range(2):  # cold, then warm
-        verdict = safety_check({}, t)
-        assert (verdict.level, verdict.type) == (Level.UNSAFE_TYPABLE, parse_type(_T))
-        assert [e.location for e in verdict.failures] == [
-            "arg0.body.arg0.body.arg0",
-            "arg1.body.arg0.body.arg0",
-        ]
-        assert verdict == want
-    assert (twist.closed_type, twist.closed_safe) == (parse_type(_T), False)
+    for typed_first in (False, True):
+        t = parse(rf"(\a:{_T} b:{_T}. a) {_TWIST} {_TWIST}")
+        twist = t.args[0]
+        assert twist is t.args[1]
+        want = _reference_safety_check({}, copy_term(t))
+        if typed_first:  # the facts the check reads are kept by typing alone
+            assert simple_type_of({}, t) is parse_type(_T)
+            assert (twist.closed_type, twist.closed_safe) == (parse_type(_T), False)
+        for _ in range(2):  # cold or typed first, then warm
+            verdict = safety_check({}, t)
+            assert (verdict.level, verdict.type) == (Level.UNSAFE_TYPABLE, parse_type(_T))
+            assert [e.location for e in verdict.failures] == [
+                "arg0.body.arg0.body.arg0",
+                "arg1.body.arg0.body.arg0",
+            ]
+            assert verdict == want
+        assert (twist.closed_type, twist.closed_safe) == (parse_type(_T), False)
+
+
+def _assert_closed_facts_hold(term: Term, reference: dict) -> set:
+    """Every node of `term` keeps both closed facts or neither, and a kept
+    `closed_safe` is the reference checker's verdict on the node; returns
+    the `closed_safe` values kept."""
+    kept = set()
+    for node in {id(s): s for s in subterms(term)}.values():
+        safe = getattr(node, "closed_safe", None)  # a node is built without it
+        if node.closed_type is None:
+            assert safe is None
+            continue
+        assert safe is not None
+        want = reference.get(id(node))
+        if want is None:
+            want = reference[id(node)] = _reference_safety_check({}, node)
+        assert (node.closed_type, safe) == (want.type, want.level is Level.SAFE)
+        kept.add(safe)
+    return kept
+
+
+def _closed_facts_population():
+    population = [(entry.env, entry.term) for entry in HAND_CORPUS]
+    population += [({}, t) for t in generate_safe_corpus(300, 7)]
+    for f in itertools.islice(enumerate_qbfs(3, 3), 0, 200 * 212, 212):
+        population.append(({}, equality_instance(f)[0]))
+    return population
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("type", "check", "trace", "eta"), ("check", "trace", "type", "eta"), ("eta", "type", "check", "trace")],
+)
+def test_each_public_walk_keeps_both_closed_facts_or_neither(order):
+    kept = set()
+    for env, term in _closed_facts_population():
+        t = copy_term(term)  # no walk has kept a fact on it yet
+        reference: dict = {}
+        verdict = None
+        for walk in order:
+            if walk == "check":
+                verdict = safety_check(env, t)
+            elif walk == "trace":
+                verdict.trace
+            else:
+                try:
+                    (simple_type_of if walk == "type" else eta_long)(env, t)
+                except TypeCheckError:
+                    pass
+            kept |= _assert_closed_facts_hold(t, reference)
+    assert kept == {True, False}
 
 
 @pytest.mark.parametrize("level, body", [(Level.SAFE, "y"), (Level.UNSAFE_TYPABLE, "x")])

@@ -295,8 +295,11 @@ def test_parse_env():
     env = parse_env("f:o->o, y:o")
     assert env == {"f": OO, "y": O}
     assert parse_env("") == {}
-    with pytest.raises(ValueError):
-        parse_env("f:o->o, f:o")
+    assert parse_env("_a:o, y':o") == {"_a": O, "y'": O}
+    # a duplicate, and names no term can use: not identifiers of the parser
+    for bad in ("f:o->o, f:o", "x y:o", "1z:o->o", "(:o", "x y:o, 1z:o->o, (:o"):
+        with pytest.raises(ValueError):
+            parse_env(bad)
 
 
 def test_all_names():
