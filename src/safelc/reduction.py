@@ -39,11 +39,13 @@ to its left is still normal, so a search from the root would come back to
 the same place.  No normal subterm is walked twice, the term size is kept
 up to date by differences, and `normalize` builds no intermediate term.
 
-`normalize` under the plain strategy also takes a redex block
-(\x1..xn. M) N1..Nk in one walk where it can: the j = min(n, k) steps
-that peel its binders one by one become the one simultaneous no-rename
-substitution of the safe contraction, counted as j steps.  The names of a
-block are distinct, so the two agree when no step would rename: the walk
+One block contraction serves both strategies: the j = min(n, k) arguments
+of a redex block (\x1..xn. M) N1..Nk replace their binders in one
+simultaneous no-rename substitution, the binders left re-wrap the body
+and the arguments left re-apply to it.  It is `safe_step`'s contraction,
+and `normalize` under the plain strategy takes it too where it can,
+counted as the j one-binder steps it stands for.  The names of a block
+are distinct, so the two agree when no step would rename: the walk
 captures nothing, and no Ni whose xi is free in M has a later binder of
 the block free, so no step substitutes into an argument an earlier one
 put in place.  A canonical body only grows under substitution, so no
@@ -146,42 +148,54 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
     # set stays empty), without it the clash is reported.
     if not mapping:
         return term, _NO_CAPTURE
-    if isinstance(term, Var):
+    kind = type(term)
+    if kind is Var:
         return mapping.get(term.name, term), _NO_CAPTURE
-    if isinstance(term, App):
+    captured = _NO_CAPTURE
+    if kind is App:
         # a child in which no mapped name is free comes back as it is
-        captured = _NO_CAPTURE
-        changed = False
-        children = []
-        for c in (term.head, *term.args):
+        head = new_head = term.head
+        if type(head) is Var:
+            new_head = mapping.get(head.name, head)
+        elif not (head._free_names or head.free_names).isdisjoint(mapping):
+            new_head, captured = _subst(head, mapping, rename)
+        changed = new_head is not head
+        args = []
+        for c in term.args:
             if type(c) is Var:
                 new = mapping.get(c.name, c)
-            elif c.free_names.isdisjoint(mapping):
+            elif (c._free_names or c.free_names).isdisjoint(mapping):
                 new = c
             else:
                 new, more = _subst(c, mapping, rename)
                 if more:
                     captured |= more
-            changed = changed or new is not c
-            children.append(new)
+            if new is not c:
+                changed = True
+            args.append(new)
         if not changed:
             return term, captured
-        return mk_app(children[0], tuple(children[1:])), captured
-    assert isinstance(term, Abs)
+        if type(new_head) is App:  # flattened, as `mk_app` would
+            return App(new_head.head, new_head.args + tuple(args)), captured
+        return App(new_head, tuple(args)), captured
+    # loops, not comprehensions: one would turn the locals it reads into
+    # cells, which every call of this function would then create
     shadowed = term.binder_names
-    active = {
-        x: u
-        for x, u in mapping.items()
-        if x in term.body.free_names and x not in shadowed
-    }
+    body = term.body
+    free = body._free_names or body.free_names
+    active = {}
+    clashing = _NO_CAPTURE
+    for x, u in mapping.items():
+        if x in free and x not in shadowed:
+            active[x] = u
+            names = u._free_names or u.free_names
+            if not names.isdisjoint(shadowed):
+                clashing = clashing.union(names.intersection(shadowed))
     if not active:
         return term, _NO_CAPTURE
-    clashing = frozenset(
-        y for y in shadowed if any(y in u.free_names for u in active.values())
-    )
     binders = term.binders
     if clashing and rename:
-        used = set(term.body.free_names) | set(shadowed) | set(active)
+        used = set(free) | set(shadowed) | set(active)
         for u in active.values():
             used |= u.free_names
         renamed = []
@@ -192,10 +206,14 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
             renamed.append((y, ty))
         binders = tuple(renamed)
         clashing = _NO_CAPTURE
-    body, captured = _subst(term.body, active, rename)
-    if binders is term.binders and body is term.body:
-        return term, clashing | captured
-    return mk_abs(binders, body), clashing | captured
+    new_body, captured = _subst(body, active, rename)
+    if clashing:
+        captured = clashing | captured
+    if binders is term.binders and new_body is body:
+        return term, captured
+    if type(new_body) is Abs:
+        return mk_abs(binders, new_body), captured
+    return Abs(binders, new_body), captured
 
 
 def subst_no_rename(term: Term, s: Substitution) -> tuple[Term, frozenset[str]]:
@@ -228,58 +246,51 @@ def _contract_plain(head: Abs, args: tuple[Term, ...]) -> Term:
     return mk_app(subst_capture_avoiding(rest, {x: args[0]}), args[1:])
 
 
-def _contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
-    j = min(len(head.binders), len(args))
-    used, remaining = head.binders[:j], head.binders[j:]
-    mapping = {x: a for (x, _), a in zip(used, args)}
-    body, captured = subst_no_rename(head.body, mapping)
-    if remaining:
-        # a partial contraction re-wraps the leftover binders around the
-        # substituted body, which can bind argument variables just as an
-        # inner binder can
-        landed: set[str] = set()
-        for (x, _), a in zip(used, args):
-            if x in head.body.free_names:
-                landed |= a.free_names
-        captured |= landed & {y for y, _ in remaining}
-    if captured:
-        names = ", ".join(sorted(captured))
-        raise CaptureViolation(
-            frozenset(captured),
-            f"no-rename contraction captured free variable(s): {names}",
-        )
-    return mk_app(mk_abs(remaining, body), args[j:])
+def _contract_block(head: Abs, args: tuple[Term, ...], room: Optional[int] = None) -> Optional[Term]:
+    """The canonical redex block `head args` in one no-rename substitution.
 
-
-def _contract_plain_block(head: Abs, args: tuple[Term, ...], j: int, room: int) -> Optional[Term]:
-    """The term j one-binder plain steps make of `head args`, in one walk.
-
-    The redex is canonical, (\\x1..xn. M) N1..Nk with 2 <= j <= min(n, k).
-    None when the steps might differ from one simultaneous no-rename
-    substitution, or when a term on the way might outgrow `room`, the
-    nodes the size budget has left.  The module docstring says why.
+    Without `room` this is the safe step, and a capture raises
+    CaptureViolation.  With it this is j = min(n, k) one-binder plain
+    steps, or None when they might differ from it or a term on the way
+    might outgrow `room`, the nodes the size budget has left; the module
+    docstring says why.
     """
-    names = head.binder_names
-    body = head.body
-    # an argument standing as the body mid-block would regroup the block
-    if type(body) is Var and body.name in names[: j - 1]:
-        return None
-    # no step renames a later binder or substitutes into an earlier argument
-    free = body.free_names
-    for i in range(min(j, len(names) - 1)):
-        if names[i] in free and not args[i].free_names.isdisjoint(names[i + 1 :]):
+    binders, body = head.binders, head.body
+    names = head._binder_names or head.binder_names
+    n, k = len(binders), len(args)
+    j = n if n < k else k
+    free = body._free_names or body.free_names
+    if room is not None:
+        # an argument standing as the body mid-block would regroup the block
+        if type(body) is Var and body.name in names[: j - 1]:
             return None
-    new, captured = subst_no_rename(body, dict(zip(names[:j], args)))
-    # the largest term on the way is at most (\x2..xn. new) N2..Nk
-    if captured or new.size - body.size - 1 - args[0].size > room:
-        return None
-    return mk_app(mk_abs(head.binders[j:], new), args[j:])
-
-
-def _contraction(strategy: "Strategy | str"):
-    if _coerce_strategy(strategy) is Strategy.PLAIN:
-        return _contract_plain
-    return _contract_safe
+        # no step renames a later binder or substitutes into an earlier argument
+        for i in range(min(j, n - 1)):
+            a = args[i]
+            if names[i] in free and not (a._free_names or a.free_names).isdisjoint(names[i + 1 :]):
+                return None
+    new, captured = _subst(body, dict(zip(names, args)), False)
+    if room is not None:
+        # the largest term on the way is at most (\x2..xn. new) N2..Nk
+        if captured or new.size - body.size - 1 - args[0].size > room:
+            return None
+    else:
+        if j < n:  # a binder left can capture as an inner one can
+            for x, a in zip(names, args):
+                if x in free:
+                    captured = captured | a.free_names.intersection(names[j:])
+        if captured:
+            raise CaptureViolation(
+                captured,
+                f"no-rename contraction captured free variable(s): {', '.join(sorted(captured))}",
+            )
+    if j < n:
+        rest = binders[j:]
+        return mk_abs(rest, new) if type(new) is Abs else Abs(rest, new)
+    if j < k:
+        rest = args[j:]
+        return App(new.head, new.args + rest) if type(new) is App else App(new, rest)
+    return new
 
 
 # --------------------------------------------------------------------------
@@ -314,26 +325,26 @@ class _Reducer:
     checked only under a budget.
 
     With `blocks` and a budget, a plain redex block is contracted by
-    `_contract_plain_block` when that gives what its steps one by one
-    would, and counts as that many steps.
+    `_contract_block` when that gives what its steps one by one would,
+    and counts as that many steps.
     """
 
-    __slots__ = ("contract", "budget", "stack", "focus", "steps", "size", "blocks")
+    __slots__ = ("plain", "budget", "stack", "focus", "steps", "size", "blocks")
 
     def __init__(
         self,
         term: Term,
-        contract,
+        strategy: "Strategy | str",
         budget: Optional[ReductionBudget],
         blocks: bool = False,
     ):
-        self.contract = contract
+        self.plain = _coerce_strategy(strategy) is Strategy.PLAIN
         self.budget = budget
         self.stack: list = []  # frames [kind, node, argument index, new arguments]
         self.focus = term
         self.steps = 0
         self.size = term.size
-        self.blocks = blocks and budget is not None
+        self.blocks = blocks and self.plain and budget is not None
 
     def term(self) -> Term:
         return _plug(self.stack, self.focus)
@@ -384,11 +395,12 @@ class _Reducer:
         budget = self.budget
         size = self.size
         new = None
-        j = min(len(head.binders), len(args))
-        if self.blocks and j > 1 and self.steps + j <= budget.max_steps:
-            new = _contract_plain_block(head, args, j, budget.max_term_size - size)
+        if self.blocks:
+            j = min(len(head.binders), len(args))
+            if j > 1 and self.steps + j <= budget.max_steps:
+                new = _contract_block(head, args, budget.max_term_size - size)
         if new is None:
-            new = self.contract(head, args)
+            new = _contract_plain(head, args) if self.plain else _contract_block(head, args)
             j = 1
         if budget is not None and self.steps >= budget.max_steps:
             raise BudgetExceededError(
@@ -424,7 +436,7 @@ def beta_step(term: Term) -> Optional[Term]:
     Uses capture-avoiding substitution, so it is sound on any term.
     Returns None on a beta-normal form.
     """
-    reducer = _Reducer(canonicalize(term), _contract_plain, None)
+    reducer = _Reducer(canonicalize(term), Strategy.PLAIN, None)
     return reducer.term() if reducer.step() else None
 
 
@@ -438,7 +450,7 @@ def safe_step(term: Term) -> Optional[Term]:
     form; raises CaptureViolation if the no-rename discipline fails, which
     cannot happen on safe input.
     """
-    reducer = _Reducer(canonicalize(term), _contract_safe, None)
+    reducer = _Reducer(canonicalize(term), Strategy.SAFE, None)
     return reducer.term() if reducer.step() else None
 
 
@@ -454,7 +466,7 @@ def reduction_sequence(
     """Yield the reduction chain from the canonical form of `term` on
     (that form included)."""
     term = canonicalize(term)
-    reducer = _Reducer(term, _contraction(strategy), budget)
+    reducer = _Reducer(term, strategy, budget)
     yield term
     while reducer.step():
         yield reducer.term()
@@ -466,8 +478,7 @@ def _normalize_counted(
     budget: ReductionBudget = DEFAULT_BUDGET,
 ) -> tuple[Term, int]:
     """The normal form and the number of steps taken to reach it."""
-    plain = _coerce_strategy(strategy) is Strategy.PLAIN
-    reducer = _Reducer(canonicalize(term), _contraction(strategy), budget, blocks=plain)
+    reducer = _Reducer(canonicalize(term), strategy, budget, blocks=True)
     while reducer.step():
         pass
     return reducer.focus, reducer.steps

@@ -661,6 +661,11 @@ class _Parser:
         offsets.append(offsets[-1] + len(tokens[-1]) if tokens else 0)
         raise ParseError(msg, *_position(self.text, offsets[i]))
 
+    def expected(self, i: int, what: str):
+        """Raise the error that token i is not `what`."""
+        tok = self.tokens[i]
+        self.fail(i, f"expected {what}, found {'end of input' if tok is None else repr(tok)}")
+
     def whole(self, read_at):
         """What `read_at` (`term_at` or `type_at`) reads from the whole text."""
         if self.tokens[0] is None:
@@ -688,7 +693,7 @@ class _Parser:
                 i += 1
                 continue
             if tok is None or tok in _RESERVED:
-                self.fail(i, f"expected type, found {tok!r}")
+                self.expected(i, "type")
             if tok != "o":
                 self.fail(i, f"unknown type atom {tok!r}")
             i += 1
@@ -703,7 +708,7 @@ class _Parser:
                 if not outer:
                     return t, i
                 if tokens[i] != ")":
-                    self.fail(i, f"expected ')', found {tokens[i]!r}")
+                    self.expected(i, "')'")
                 i += 1
                 atoms = outer.pop()
 
@@ -738,7 +743,7 @@ class _Parser:
                     i += 1
                     break  # a parenthesized term starts
                 if tok is None or tok[0] in no_atom:
-                    self.fail(i, f"expected variable, found {tok!r}")
+                    self.expected(i, "variable")
                 i += 1
                 t: Term = nodes.get(tok) or nodes.setdefault(tok, Var(tok))
                 while True:  # t is an atom of the application on top
@@ -765,7 +770,7 @@ class _Parser:
                     if not stack:
                         return t, i
                     if tokens[i] != ")":
-                        self.fail(i, f"expected ')', found {tokens[i]!r}")
+                        self.expected(i, "')'")
                     i += 1
                     stack.pop()  # the parenthesized term is an atom again
 
@@ -808,7 +813,7 @@ class _Parser:
         while True:
             name = tokens[i]
             if name is None or name[0] not in _NAME_START:
-                self.fail(i, f"expected binder, found {name!r}")
+                self.expected(i, "binder")
             if name in names_seen:
                 self.fail(i, f"duplicate binder {name!r} in one block")
             names_seen.add(name)

@@ -5,12 +5,15 @@ frequently non-canonical); the seeded generator of well-typed Safe terms
 lives in safelc.corpus and is exercised separately.
 """
 
+import itertools
+import random
 import sys
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
 
+from safelc.encodings import Polynomial, parse_polynomial
 from safelc.syntax import GROUND, Abs, App, SimpleType, Term, Var, subterms
 
 names = st.sampled_from("a b c d f g h x y z".split())
@@ -95,3 +98,38 @@ def recursion_limit(limit: int):
     finally:
         sys.setrecursionlimit(saved)
 
+
+def criterion3_polynomials() -> list[Polynomial]:
+    """The polynomials of acceptance criterion 3: the worked example, the
+    constants 0..5, each single monomial of degree 1..3 with coefficient
+    1, 2 or 5, and 30 random ones drawn with seed 2026."""
+    polys = [parse_polynomial("x^2*y + 3*x + 2")]
+    for c in range(6):  # constants, including zero
+        polys.append(Polynomial((), {(): c} if c else {}))
+    names = ("x", "y", "z")
+    for k in (1, 2, 3):
+        variables = names[:k]
+        vectors = [
+            e
+            for e in itertools.product(range(4), repeat=k)
+            if 0 < sum(e) <= 3 and e[-1] > 0  # new shapes only at this k
+        ]
+        for e in vectors:
+            for coeff in (1, 2, 5):
+                polys.append(Polynomial(variables, {e: coeff}))
+    rng = random.Random(2026)
+    for _ in range(30):
+        k = rng.randrange(1, 4)
+        variables = names[:k]
+        vectors = [
+            e
+            for e in itertools.product(range(4), repeat=k)
+            if 0 < sum(e) <= 3
+        ]
+        chosen = rng.sample(vectors, k=min(len(vectors), rng.randrange(2, 4)))
+        polys.append(
+            Polynomial(
+                variables, {e: rng.randrange(1, 6) for e in chosen}
+            )
+        )
+    return polys

@@ -1,11 +1,10 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test is self-contained and regenerates what it needs; seeds are
-fixed so every run checks the same population.
+Each test regenerates what it needs, criterion 3's polynomials from
+`termgen`; seeds are fixed so every run checks the same population.
 """
 
 import itertools
-import random
 import time
 
 import pytest
@@ -16,7 +15,6 @@ from safelc.encodings import (
     Compose,
     ConstWord,
     LetterHom,
-    Polynomial,
     PrependConst,
     Word,
     apply_word_function,
@@ -27,7 +25,6 @@ from safelc.encodings import (
     conditional_candidates,
     decode_nat,
     decode_word,
-    parse_polynomial,
 )
 from safelc.games import (
     ReconstructionError,
@@ -48,6 +45,7 @@ from safelc.reduction import (
 )
 from safelc.safety import Level, eta_long, safety_check, simple_type_of
 from safelc.syntax import alpha_eq, mk_app, parse
+from termgen import criterion3_polynomials
 
 BY_NAME = {e.name: e for e in HAND_CORPUS}
 
@@ -83,41 +81,8 @@ def test_criterion_2_plain_and_safe_reduction_agree():
     assert alpha_eq(plain_chain[-1], safe_chain[-1])
 
 
-def _polynomial_population():
-    polys = [parse_polynomial("x^2*y + 3*x + 2")]
-    for c in range(6):  # constants, including zero
-        polys.append(Polynomial((), {(): c} if c else {}))
-    names = ("x", "y", "z")
-    for k in (1, 2, 3):
-        variables = names[:k]
-        vectors = [
-            e
-            for e in itertools.product(range(4), repeat=k)
-            if 0 < sum(e) <= 3 and e[-1] > 0  # new shapes only at this k
-        ]
-        for e in vectors:
-            for coeff in (1, 2, 5):
-                polys.append(Polynomial(variables, {e: coeff}))
-    rng = random.Random(2026)
-    for _ in range(30):
-        k = rng.randrange(1, 4)
-        variables = names[:k]
-        vectors = [
-            e
-            for e in itertools.product(range(4), repeat=k)
-            if 0 < sum(e) <= 3
-        ]
-        chosen = rng.sample(vectors, k=min(len(vectors), rng.randrange(2, 4)))
-        polys.append(
-            Polynomial(
-                variables, {e: rng.randrange(1, 6) for e in chosen}
-            )
-        )
-    return polys
-
-
 def test_criterion_3_polynomials_compute_exactly():
-    for p in _polynomial_population():
+    for p in criterion3_polynomials():
         term = compile_polynomial(p)
         assert safety_check({}, term).level is Level.SAFE
         k = len(p.variables)
@@ -141,7 +106,7 @@ def test_criterion_3_block_contraction_matches_one_binder_steps():
     step count must be those of the one-binder reduction sequence."""
     pairs = [
         (term, point)
-        for p in _polynomial_population()
+        for p in criterion3_polynomials()
         for term in [compile_polynomial(p)]
         for point in itertools.product(range(4), repeat=len(p.variables))
     ]

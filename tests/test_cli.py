@@ -98,8 +98,14 @@ def test_check_env_name_no_term_can_use_is_usage_error(runner, lamfile):
 
 
 def test_check_unparseable_is_usage_error(runner, lamfile):
-    r = invoke(runner, ["check", lamfile("bad.lam", r"\x:o.")])
+    # an error at the end of the input says so, not `found None`
+    path = lamfile("bad.lam", r"\x:o.")
+    r = invoke(runner, ["check", path])
     assert r.exit_code == 2
+    assert r.output == f"error: {path}: 1:6: expected variable, found end of input\n"
+    r = invoke(runner, ["check", path, "--env", "f:o->"])
+    assert r.exit_code == 2
+    assert r.output == "error: bad --env: 1:4: expected type, found end of input\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 from typing import Optional
 
 import hypothesis as hyp
@@ -8,6 +9,8 @@ import pytest
 from safelc import safety
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import church_nat, compile_polynomial, decode_nat, parse_polynomial
+from safelc.hardness import qbf_to_term
+from safelc.qbf import QBF, And, BoolVar, Or, Quantifier
 from safelc.reduction import (
     _NO_CAPTURE,
     DEFAULT_BUDGET,
@@ -16,7 +19,7 @@ from safelc.reduction import (
     ReductionBudget,
     Strategy,
     _contract_plain,
-    _contract_safe,
+    _contract_block,
     _normalize_counted,
     _subst,
     beta_eta_equal,
@@ -45,7 +48,7 @@ from safelc.syntax import (
     primed,
     subterms,
 )
-from termgen import is_canonical, recursion_limit, terms
+from termgen import criterion3_polynomials, is_canonical, recursion_limit, terms
 
 CHURCH_TWO = parse(r"\s:o->o z:o. s (s z)")
 CHURCH_THREE = parse(r"\s:o->o z:o. s (s (s z))")
@@ -476,7 +479,7 @@ def _reference_step(term: Term, contract) -> Optional[Term]:
     return None
 
 
-_CONTRACT = {Strategy.PLAIN: _contract_plain, Strategy.SAFE: _contract_safe}
+_CONTRACT = {Strategy.PLAIN: _contract_plain, Strategy.SAFE: _contract_block}
 
 
 def _reference_sequence(term, strategy, budget=DEFAULT_BUDGET):
@@ -533,7 +536,7 @@ def _chain(sequence):
 
 def _assert_driver_matches_reference(term, budget=DEFAULT_BUDGET):
     start = canonicalize(term)
-    for contract, step in ((_contract_plain, beta_step), (_contract_safe, safe_step)):
+    for contract, step in ((_contract_plain, beta_step), (_contract_block, safe_step)):
         want = _outcome(lambda: _reference_step(start, contract))
         assert _outcome(lambda: step(term)) == want
     for strategy in Strategy:
@@ -836,6 +839,56 @@ def test_driver_matches_reference_on_block_redexes(t, budget):
 
 
 # --------------------------------------------------------------------------
+# step counts pinned
+#
+# Steps are deterministic, so exact totals on fixed inputs catch a change
+# to either strategy's contraction, or to which blocks the plain strategy
+# takes in one walk, that timings would lose in noise.
+
+
+def _criterion3_slice() -> list[Term]:
+    """Every 10th (polynomial, point) pair of criterion 3, applied, as
+    the acceptance test builds them."""
+    pairs = [
+        (term, point)
+        for p in criterion3_polynomials()
+        for term in [compile_polynomial(p)]
+        for point in itertools.product(range(4), repeat=len(p.variables))
+    ]
+    return [mk_app(term, tuple(church_nat(n) for n in point)) for term, point in pairs[::10]]
+
+
+def _ladder(rung: int, connective) -> Term:
+    """forall v1 exists v2 forall v3 ... . v1 op v2 op ... op v<rung>"""
+    names = [f"v{i + 1}" for i in range(rung)]
+    prefix = tuple(
+        (Quantifier.FORALL if i % 2 == 0 else Quantifier.EXISTS, name)
+        for i, name in enumerate(names)
+    )
+    return qbf_to_term(QBF(prefix, reduce(connective, [BoolVar(n) for n in names])))
+
+
+def test_step_counts_are_pinned():
+    pairs = _criterion3_slice()
+    assert len(pairs) == 322
+    totals = [sum(_normalize_counted(t, strategy)[1] for t in pairs) for strategy in Strategy]
+    assert totals == [16_264, 7_116]
+    ladder = {
+        Or: ([13, 28, 40, 78, 102, 194, 242, 458, 554], [(30, 1_107_269), (30, 1_113_332)]),
+        And: ([16, 25, 48, 63, 116, 143, 264, 315, 588], [(33, 1_001_234), (28, 1_092_397)]),
+    }
+    for connective, (steps, failures) in ladder.items():
+        got = [_normalize_counted(_ladder(r, connective), Strategy.SAFE)[1] for r in range(2, 11)]
+        assert got == steps
+        cut = []
+        for r in (11, 12):
+            with pytest.raises(BudgetExceededError) as e:
+                _normalize_counted(_ladder(r, connective), Strategy.SAFE)
+            cut.append((e.value.steps, e.value.size))
+        assert cut == failures
+
+
+# --------------------------------------------------------------------------
 # sizes and substitution against the walks they replaced
 #
 # `_reference_size` is the recursive node count `Term.size` once was, and
@@ -905,6 +958,63 @@ def _reference_subst(term: Term, mapping, rename: bool) -> tuple[Term, frozenset
     if binders is term.binders and body is term.body:
         return term, clashing | captured
     return mk_abs(binders, body), clashing | captured
+
+
+def _reference_contract_safe(head: Abs, args: tuple[Term, ...]) -> Term:
+    """The safe contraction spelled out with the reference walk: the j =
+    min(n, k) arguments substituted at once, the binders left re-wrapped
+    and the arguments left re-applied.  An argument lands where its
+    binder occurs free in the body, and a binder left over it captures
+    each of its free variables that it names, as an inner binder does."""
+    j = min(len(head.binders), len(args))
+    used, left = head.binders[:j], head.binders[j:]
+    mapping = {x: a for (x, _), a in zip(used, args)}
+    body, captured = _reference_subst(head.body, mapping, rename=False)
+    left_names = {y for y, _ in left}
+    for (x, _), a in zip(used, args):
+        if x in head.body.free_names:
+            captured = captured | (a.free_names & left_names)
+    if captured:
+        names = ", ".join(sorted(captured))
+        raise CaptureViolation(
+            frozenset(captured), f"no-rename contraction captured free variable(s): {names}"
+        )
+    return mk_app(mk_abs(left, body), args[j:])
+
+
+def _safe_contractions(term: Term, budget=DEFAULT_BUDGET) -> list:
+    """The outcome of each safe contraction `normalize` makes on `term`,
+    each checked `==` against `_reference_contract_safe` as it is made."""
+    made = []
+    engine = _contract_block
+
+    def checked(head, args):
+        want = _outcome(lambda: _reference_contract_safe(head, args))
+        assert _outcome(lambda: engine(head, args)) == want
+        made.append(want[0])
+        return engine(head, args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("safelc.reduction._contract_block", checked)
+        _outcome(lambda: _normalize_counted(term, Strategy.SAFE, budget))
+    return made
+
+
+def test_safe_contraction_matches_reference_on_corpora():
+    made = []
+    for e in HAND_CORPUS:
+        made += _safe_contractions(e.term)
+    for t in generate_safe_corpus(300, 7):
+        made += _safe_contractions(t)
+    assert "capture" in made and made.count("ok") >= 80
+    made = [m for t in _criterion3_slice() for m in _safe_contractions(t)]
+    assert made == ["ok"] * 7_116
+
+
+@hyp.settings(max_examples=200)
+@hyp.given(block_redexes())
+def test_safe_contraction_matches_reference_on_block_redexes(t):
+    _safe_contractions(t, ReductionBudget(max_steps=10, max_term_size=400))
 
 
 def _kept(before: Term, after: Term) -> set[int]:

@@ -276,7 +276,7 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError, match="unexpected character '@'") as e:
         parse("\\x:o f:o->o.\n  f\n   (x @ x)")
     assert (e.value.line, e.value.column) == (3, 7)
-    with pytest.raises(ParseError, match=r"expected '\)', found None") as e:
+    with pytest.raises(ParseError, match=r"expected '\)', found end of input") as e:
         parse("\\x:o.\n  (x\n  x  \n")
     assert (e.value.line, e.value.column) == (3, 4)
 
@@ -587,7 +587,9 @@ def test_parse_shares_each_copy_of_a_repeated_term(t):
 # `_ReferenceParser`, `_reference_parse` and `_reference_parse_type` are
 # the parser the iterative one replaced, kept verbatim.  Results and
 # errors must be `==`, except that an empty binder block is now a
-# ParseError at its '.' instead of Abs's ValueError.
+# ParseError at its '.' instead of Abs's ValueError, and that an error at
+# the end of the input says "found end of input" where the reference
+# says "found None".
 
 
 class _ReferenceParser:
@@ -747,16 +749,23 @@ def _empty_block_at(text: str, line: int, column: int) -> bool:
     return False
 
 
+def _end_named(result: tuple) -> tuple:
+    """A reference result with the end of the input named as `parse` names it."""
+    if result[0] == "ParseError" and result[1].endswith(", found None"):
+        return (result[0], result[1][: -len("None")] + "end of input", *result[2:])
+    return result
+
+
 def _assert_parse_matches_reference(text: str):
     for canonical in (True, False):
         got = _parsed(parse, text, canonical)
-        want = _parsed(_reference_parse, text, canonical)
+        want = _end_named(_parsed(_reference_parse, text, canonical))
         if got != want:
             # the one intended difference: the reference let Abs refuse an
             # empty block (ValueError) or went on to an error further right
             assert got[:2] == ("ParseError", "expected binder, found '.'"), (text, got, want)
             assert _empty_block_at(text, got[2], got[3]), (text, got, want)
-    assert _parsed(parse_type, text) == _parsed(_reference_parse_type, text)
+    assert _parsed(parse_type, text) == _end_named(_parsed(_reference_parse_type, text))
 
 
 @hyp.settings(max_examples=300)
