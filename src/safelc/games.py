@@ -2,15 +2,16 @@ r"""Computation trees and traversals.
 
 A well-typed term unfolds, after full eta-expansion, into a computation
 tree whose levels alternate between lambda nodes and variable/application
-nodes.  Walking the tree under the traversal rules simulates evaluation
-without performing a single substitution; justification pointers do the
-bookkeeping that renaming would otherwise do.  One depth-first walk over
-a shared prefix finds every traversal: `enumerate_traversals` copies
-each one out, and `traversal_normal_form` copies none, assembling the
-beta-eta-normal form from the cores of the maximal traversals, which
-spell out its branches, as the walk reaches them.  `uncover` /
-`reconstruct_p_pointers` probe when the pointers carried by variable
-occurrences are redundant.
+nodes.  The tree is expanded as it is built, with no eta-long copy; its
+`term`, that eta-long form, is worked out when first read.  Walking the
+tree under the traversal rules simulates evaluation without performing a
+single substitution; justification pointers do the bookkeeping that
+renaming would otherwise do.  One depth-first walk over a shared prefix
+finds every traversal: `enumerate_traversals` copies each one out, and
+`traversal_normal_form` copies none, assembling the beta-eta-normal form
+from the cores of the maximal traversals, which spell out its branches,
+as the walk reaches them.  `uncover` / `reconstruct_p_pointers` probe
+when the pointers carried by variable occurrences are redundant.
 
 A traversal is stored flat, as parallel tuples: its nodes, their
 justifiers (back-indices) and the rules that licensed them, plus the
@@ -26,17 +27,21 @@ comparisons against it behave as if the context were abstracted.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import NamedTuple, Optional, Union
 
 from .reduction import BudgetExceededError
-from .safety import eta_long
+from .safety import eta_long, eta_types
 from .syntax import (
     Abs,
+    App,
     Binder,
     SimpleType,
     Term,
     TypeEnv,
     Var,
+    all_names,
     fresh_names,
     mk_abs,
     mk_app,
@@ -98,8 +103,13 @@ TreeNode = Union[LambdaNode, AppNode, VarNode]
 class ComputationTree:
     root: LambdaNode
     nodes: tuple[TreeNode, ...]  # pre-order; nodes[i].id == i
-    term: Term  # the eta-long form the tree was built from
+    source: Term  # the canonical input, eta-expanded while the tree was built
     env: dict
+
+    @cached_property
+    def term(self) -> Term:
+        """The eta-long form the tree is the tree of, worked out when first read."""
+        return eta_long(self.env, self.source)
 
 
 def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
@@ -107,27 +117,24 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
 
     Lambda nodes alternate with variable/application nodes; ground-typed
     arguments get an empty lambda node above them so the alternation
-    holds everywhere.  Type errors surface before any node is built.
+    holds everywhere.  Where a lambda's type has more arguments than the
+    term there has binders, the node gets fresh binders, drawn in the
+    order `eta_long` draws them, each passed on as an argument of the
+    body's head.  Type errors surface before any node is built.
     """
-    expanded = eta_long(env, term)  # the one type check
-    # an eta-long term abstracts every argument of its type
-    top = expanded.binders if isinstance(expanded, Abs) else ()
-    # a well-typed term has no free names in an empty env
-    free = expanded.free_names if env else ()
-    root_order = max(
-        [SimpleType(tuple(bty for _, bty in top)).order]
-        + [env[n].order + 1 for n in free]
-    )
+    term, ty, heads = eta_types(env, term)  # the one type check
+    heads = iter(heads or ())  # None when eta-long: binders then give the types
+    fresh = None  # the supply of expansion names, made when the first is needed
     nodes: list[TreeNode] = []
     # one scope for the whole build: name -> (binder, slot, type), with a
     # log of the entries each binding shadowed, undone on the way back up
     scope: dict[str, tuple[LambdaNode, int, SimpleType]] = {}
     undo: list[tuple[str, Optional[tuple]]] = []
-    # lambda nodes still to build: (term, order, the log length of their
-    # scope, the parent's children, a list until every node is built)
-    todo = [(expanded, root_order, 0, [])]
+    # lambda positions still to build: (term or expansion name, its type, the
+    # log length of its scope, the parent's children, a list until the end)
+    todo = [(term, ty, 0, [])]
     while todo:
-        t, order, mark, siblings = todo.pop()
+        t, ty, mark, siblings = todo.pop()
         while len(undo) > mark:
             name, shadowed = undo.pop()
             if shadowed is None:
@@ -137,20 +144,29 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
         while True:
             here = len(nodes)
             binders, body = (t.binders, t.body) if type(t) is Abs else ((), t)
-            lam = LambdaNode(binders, order, here)
+            head, args = (body.head, body.args) if type(body) is App else (body, ())
+            if type(head) is Var:
+                head = head.name  # as an expansion name stands for its variable
+            wanted = ty.arguments[len(binders):]
+            if wanted:
+                if fresh is None:
+                    fresh = fresh_names("_e", set(all_names(term)).union(env))
+                extra = tuple(islice(fresh, len(wanted)))
+                binders += tuple(zip(extra, wanted))
+                args += extra
+            lam = LambdaNode(binders, ty.order, here)
             for slot, (name, bty) in enumerate(binders):
                 undo.append((name, scope.get(name)))
                 scope[name] = (lam, slot, bty)
             siblings.append(lam)
             nodes.append(lam)
-            head, args = (body, ()) if type(body) is Var else (body.head, body.args)
-            if type(head) is Var:
-                binder, slot, vty = scope.get(head.name) or (None, None, env[head.name])
-                op = VarNode(head.name, vty, binder, slot, vty.order, here + 1, [])
+            if type(head) is str:
+                binder, slot, vty = scope.get(head) or (None, None, env[head])
+                op = VarNode(head, vty, binder, slot, vty.order, here + 1, [])
                 arg_types = vty.arguments
             else:
                 # redex: the operator is an abstraction, kept under an @ node
-                head_ty = SimpleType(tuple(bty for _, bty in head.binders))
+                head_ty = next(heads, None) or SimpleType(tuple(bty for _, bty in head.binders))
                 op = AppNode(0, here + 1, [])
                 args, arg_types = (head,) + args, (head_ty,) + head_ty.arguments
             lam.children = (op,)
@@ -158,13 +174,16 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
             if not args:
                 break
             for k in range(len(args) - 1, 0, -1):
-                todo.append((args[k], arg_types[k].order, len(undo), op.children))
-            t, order, siblings = args[0], arg_types[0].order, op.children
+                todo.append((args[k], arg_types[k], len(undo), op.children))
+            t, ty, siblings = args[0], arg_types[0], op.children
     # pre-order puts each lambda right before its one child, so the
     # variable and @ nodes, whose children are still lists, sit at odd ids
     for op in nodes[1::2]:
         op.children = tuple(op.children)
-    return ComputationTree(nodes[0], tuple(nodes), expanded, dict(env))
+    root = nodes[0]  # it stands for the context: free names raise its order
+    for n in term.free_names if env else ():  # none in an empty env
+        root.order = max(root.order, env[n].order + 1)
+    return ComputationTree(root, tuple(nodes), term, dict(env))
 
 
 # --------------------------------------------------------------------------
@@ -302,9 +321,8 @@ def _walk(tree: ComputationTree, max_len: int):
                         yield nodes, justs, rules, core, True, depth
                         break
                     if len(children) > 1 and here != last:
-                        pending.extend(
-                            (here + 1, c, here, "ivar") for c in reversed(children[1:])
-                        )
+                        for c in reversed(children[1:]):  # no cell for `here`
+                            pending.append((here + 1, c, here, "ivar"))
                     lam, j, rule = children[0], here, "ivar"
                 else:
                     # internal variable: the next lambda is the argument
@@ -467,30 +485,19 @@ def traversal_normal_form(tree: ComputationTree, budget: int = _DEFAULT_MAX_LEN)
     frames: list[list] = []  # [position, binders, head name, arguments]
     frame_at: dict[int, list] = {}  # position of a core lambda -> its frame
     cut = 0
-
-    def close_from(position: int) -> Optional[Term]:
-        """Close the frames at or past `position`; the last one's term."""
-        term = None
-        while frames and frames[-1][0] >= position:
-            _, binders, head, args = frames.pop()
-            term = mk_abs(binders, mk_app(Var(head), tuple(args)))
-            if frames:
-                frames[-1][3].append(term)
-        return term
-
     for nodes, justs, _, core, maximal, shared in _walk(tree, budget):
         if not maximal:
             cut += 1
         if cut:
             continue  # keep walking only to count the cut traversals
-        close_from(shared)
+        _close_from(frames, shared)
         for i in range(shared, len(nodes)):
             if not core[i]:
                 continue
             node = nodes[i]
             if node.kind == LAM:
-                renamed = tuple((next(fresh), bty) for _, bty in node.binders)
-                frame_at[i] = [i, renamed, None, []]
+                types = [bty for _, bty in node.binders]
+                frame_at[i] = [i, tuple(zip(islice(fresh, len(types)), types)), None, []]
                 frames.append(frame_at[i])
             elif node.binder is None:
                 frames[-1][2] = node.name
@@ -500,4 +507,15 @@ def traversal_normal_form(tree: ComputationTree, budget: int = _DEFAULT_MAX_LEN)
         raise BudgetExceededError(
             budget, cut, f"{cut} traversal(s) still extendable at length {budget}"
         )
-    return close_from(0)
+    return _close_from(frames, 0)
+
+
+def _close_from(frames: list[list], position: int) -> Optional[Term]:
+    """Close the frames at or past `position`; the last one's term."""
+    term = None
+    while frames and frames[-1][0] >= position:
+        _, binders, head, args = frames.pop()
+        term = mk_abs(binders, mk_app(Var(head), tuple(args)))
+        if frames:
+            frames[-1][3].append(term)
+    return term

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -485,11 +486,19 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     the input is typed once; when it is already eta-long it is returned
     as it is, so canonical eta-long input comes back as the same object.
     """
-    term = canonicalize(term)
-    ty, _, heads = _walk(env, term, _ETA)  # surface type errors before rewriting
+    term, ty, heads = eta_types(env, term)  # surface type errors before rewriting
     if heads is None:
         return term
     return _expand(dict(env), term, ty, iter(heads), env)
+
+
+def eta_types(env: TypeEnv, term: Term) -> tuple[Term, SimpleType, Optional[list[SimpleType]]]:
+    """What eta-expanding `term` needs, from one typing walk: its canonical
+    form, its type in `env` and the types of its abstractions in head
+    position in pre-order, or None for those when it is eta-long already."""
+    term = canonicalize(term)
+    ty, _, heads = _walk(env, term, _ETA)
+    return term, ty, heads
 
 
 def _expand(
@@ -522,7 +531,7 @@ def _expand(
                 if wanted:
                     if fresh is None:
                         fresh = fresh_names("_e", set(all_names(term)).union(env))
-                    extra = tuple((next(fresh), a) for a in wanted)
+                    extra = tuple(zip(islice(fresh, len(wanted)), wanted))
                     body = mk_app(body, tuple(Var(n) for n, _ in extra))
                     binders += extra
                 stack.append((t, binders, tuple(map(ctx.get, map(_binder_name, binders)))))

@@ -513,12 +513,14 @@ def mk_abs(binders: tuple[Binder, ...], body: Term) -> Term:
     if type(body) is not Abs:
         return Abs(binders, body)
     inner = body.binder_names
-    if any(n in inner for n, _ in binders):
-        taken = set(all_names(body)).union(n for n, _ in binders)
-        renamed = [
-            (primed(n, taken) if n in inner else n, ty) for n, ty in reversed(binders)
-        ]
-        binders = tuple(reversed(renamed))
+    for n, _ in binders:  # loops: comprehensions would make `inner` and `taken` cells
+        if n in inner:
+            taken = set(all_names(body)).union(m for m, _ in binders)
+            renamed = []
+            for m, ty in reversed(binders):
+                renamed.append((primed(m, taken) if m in inner else m, ty))
+            binders = tuple(reversed(renamed))
+            break
     return Abs(binders + body.binders, body.body)
 
 

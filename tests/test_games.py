@@ -27,8 +27,9 @@ from safelc.hardness import CHURCH_FALSE, CHURCH_TRUE, qbf_to_term
 from safelc.qbf import parse_qbf
 from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import BudgetExceededError, normalize
+from safelc import games, reduction, safety, syntax
 from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
-from safelc.syntax import GROUND, Abs, App, Var, alpha_eq, arrow, parse, pretty
+from safelc.syntax import GROUND, Abs, App, SimpleType, Var, alpha_eq, arrow, parse, parse_env, pretty
 
 from termgen import recursion_limit, terms
 
@@ -45,6 +46,15 @@ D4 = parse(r"\d:((o->o)->o)->o f:(o->o)->o. d (\g:o->o. f (\x:o. g x))")
 
 def tree_of(src, env=None):
     return build_computation_tree(env or {}, parse(src))
+
+
+def ladder_term(rung, connective):
+    """The alternating QBF forall v1. exists v2. ... v1 c v2 c ... as a term."""
+    names = [f"v{i + 1}" for i in range(rung)]
+    quantifiers = "".join(
+        f"{'forall' if i % 2 == 0 else 'exists'} {n}. " for i, n in enumerate(names)
+    )
+    return qbf_to_term(parse_qbf(quantifiers + f" {connective} ".join(names)))
 
 
 def shape(traversal):
@@ -609,14 +619,193 @@ def test_engine_matches_reference_on_closed_typed_terms(raw):
 @pytest.mark.parametrize("rung", [10, 12, 16, 20])
 @pytest.mark.parametrize("connective", ["|", "&"])
 def test_traversal_decides_the_alternating_ladder(rung, connective):
+    t = build_computation_tree({}, ladder_term(rung, connective))
     names = [f"v{i + 1}" for i in range(rung)]
     quantifiers = "".join(
         f"{'forall' if i % 2 == 0 else 'exists'} {n}. " for i, n in enumerate(names)
     )
     f = parse_qbf(quantifiers + f" {connective} ".join(names))
-    t = build_computation_tree({}, qbf_to_term(f))
     traversals = enumerate_traversals(t, max_len=1_000_000)
     assert all(tr.maximal for tr in traversals)
     assert all(reconstruct_p_pointers(uncover(tr), t) == tr for tr in traversals)
     want = eta_long({}, CHURCH_TRUE if eval_qbf(f) else CHURCH_FALSE)
     assert alpha_eq(traversal_normal_form(t, budget=1_000_000), want)
+
+
+
+# --------------------------------------------------------------------------
+# the tree built while expanding, against eta_long and a walk of its copy
+
+
+def reference_tree(env, term):
+    """The tree built the slow way: `eta_long` first, then a walk of the
+    eta-long copy it makes."""
+    expanded = eta_long(env, term)
+    top = expanded.binders if isinstance(expanded, Abs) else ()
+    free = expanded.free_names if env else ()
+    root_order = max(
+        [SimpleType(tuple(bty for _, bty in top)).order]
+        + [env[n].order + 1 for n in free]
+    )
+    nodes = []
+    scope = {}
+    undo = []
+    todo = [(expanded, root_order, 0, [])]
+    while todo:
+        t, order, mark, siblings = todo.pop()
+        while len(undo) > mark:
+            name, shadowed = undo.pop()
+            if shadowed is None:
+                del scope[name]
+            else:
+                scope[name] = shadowed
+        while True:
+            here = len(nodes)
+            binders, body = (t.binders, t.body) if type(t) is Abs else ((), t)
+            lam = LambdaNode(binders, order, here)
+            for slot, (name, bty) in enumerate(binders):
+                undo.append((name, scope.get(name)))
+                scope[name] = (lam, slot, bty)
+            siblings.append(lam)
+            nodes.append(lam)
+            head, args = (body, ()) if type(body) is Var else (body.head, body.args)
+            if type(head) is Var:
+                binder, slot, vty = scope.get(head.name) or (None, None, env[head.name])
+                op = VarNode(head.name, vty, binder, slot, vty.order, here + 1, [])
+                arg_types = vty.arguments
+            else:
+                head_ty = SimpleType(tuple(bty for _, bty in head.binders))
+                op = AppNode(0, here + 1, [])
+                args, arg_types = (head,) + args, (head_ty,) + head_ty.arguments
+            lam.children = (op,)
+            nodes.append(op)
+            if not args:
+                break
+            for k in range(len(args) - 1, 0, -1):
+                todo.append((args[k], arg_types[k].order, len(undo), op.children))
+            t, order, siblings = args[0], arg_types[0].order, op.children
+    for op in nodes[1::2]:
+        op.children = tuple(op.children)
+    return ComputationTree(nodes[0], tuple(nodes), expanded, dict(env))
+
+
+def node_fields(tree):
+    """Each node's fields, with its binder and children as ids."""
+    assert tree.root is tree.nodes[0]
+    rows = []
+    for n in tree.nodes:
+        binder = getattr(n, "binder", None)
+        rows.append((
+            n.kind,
+            n.label,
+            n.order,
+            n.id,
+            None if binder is None else binder.id,
+            getattr(n, "slot", None),
+            getattr(n, "ty", None),
+            tuple(c.id for c in n.children),
+        ))
+        assert all(tree.nodes[c.id] is c for c in n.children)
+        assert binder is None or tree.nodes[binder.id] is binder
+    return rows
+
+
+def built_or_error(build, env, term):
+    try:
+        return build(env, term)
+    except TypeCheckError as e:
+        return type(e), str(e)
+
+
+def assert_builders_agree(env, term):
+    got = built_or_error(build_computation_tree, env, term)
+    want = built_or_error(reference_tree, env, term)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert node_fields(got) == node_fields(want)
+    assert got.term == eta_long(env, term) == want.term
+
+
+def test_builder_matches_reference_on_hand_corpus():
+    for e in HAND_CORPUS:
+        assert_builders_agree(e.env, e.term)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_builder_matches_reference_on_generated_corpus(seed):
+    for term in generate_safe_corpus(300, seed):
+        assert_builders_agree({}, term)
+
+
+@pytest.mark.parametrize("connective", ["|", "&"])
+def test_builder_matches_reference_on_the_ladder(connective):
+    for rung in range(2, 13):
+        assert_builders_agree({}, ladder_term(rung, connective))
+
+
+@hyp.settings(max_examples=300, deadline=None)
+@hyp.given(terms)
+def test_builder_matches_reference_on_closed_typed_terms(raw):
+    free = tuple((n, GROUND) for n in sorted(raw.free_names))
+    assert_builders_agree({}, Abs(free, raw) if free else raw)
+
+
+def test_builder_matches_reference_on_eta_short_and_clashing_input():
+    for src, env in (
+        (r"\f:o->o. f", ""),
+        (r"(\f:o->o. f) g y", "g:o->o, y:o"),
+        (r"\_e1:o->o. _e1", ""),
+        ("_e1", "_e1:o->o"),
+        ("f", "f:(o->o)->o"),
+        (r"\x:o. x x", ""),
+        ("f a", "f:o->o"),
+    ):
+        assert_builders_agree(parse_env(env), parse(src))
+
+
+@pytest.mark.parametrize("connective", ["|", "&"])
+def test_ladder_tree_sizes_and_expansion_names(connective):
+    sizes = {}
+    for rung in (2, 4, 6, 8, 10, 12, 16, 20):
+        tree = build_computation_tree({}, ladder_term(rung, connective))
+        expanded = sum(
+            name.startswith("_e")
+            for n in tree.nodes
+            if isinstance(n, LambdaNode)
+            for name, _ in n.binders
+        )
+        sizes[rung] = (len(tree.nodes), expanded)
+    assert sizes == {
+        2: (122, 29),
+        4: (332, 88),
+        6: (614, 175),
+        8: (968, 290),
+        10: (1394, 433),
+        12: (1892, 604),
+        16: (3104, 1030),
+        20: (4604, 1568),
+    }
+
+
+def test_expansion_names_avoid_every_name_of_the_input():
+    t = tree_of(r"\_e1:o->o. _e1")
+    assert [n.label for n in t.nodes] == ["\\_e1 _e2", "_e1", "\\", "_e2"]
+    assert build_computation_tree(parse_env("_e1:o->o"), parse("_e1")).root.label == "\\_e2"
+    t = build_computation_tree(parse_env("f:(o->o)->o"), parse("f"))
+    assert t.root.order == 3
+    assert pretty(t.term) == r"\_e1:o->o. f (\_e2:o. _e1 _e2)"
+
+
+def test_hot_functions_make_no_cells():
+    # a local read inside a comprehension or closure becomes a cell,
+    # which every call allocates
+    for fn in (
+        syntax.mk_abs,
+        safety._expand,
+        games.build_computation_tree,
+        games.traversal_normal_form,
+        games._walk,
+        reduction._subst,
+    ):
+        assert fn.__code__.co_cellvars == (), fn.__qualname__
