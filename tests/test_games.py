@@ -137,10 +137,13 @@ def test_eta_long_inserts_empty_lambda():
 
 
 def test_tree_built_from_eta_short_input():
-    # eta_long runs inside, so \f. f grows the same 4-node tree
+    # the build expands as it goes, so \f. f grows the same 4-node tree,
+    # and its eta-long term is made only when read
     t = tree_of(r"\f:o->o. f")
     assert len(t.nodes) == 4
     assert isinstance(t.nodes[3], VarNode)
+    assert "term" not in t.__dict__
+    assert pretty(t.term) == r"\f:o->o _e1:o. f _e1"
 
 
 def test_redex_tree():
