@@ -2,8 +2,9 @@ r"""Computation trees and traversals.
 
 A well-typed term unfolds, after full eta-expansion, into a computation
 tree whose levels alternate between lambda nodes and variable/application
-nodes.  The tree is expanded as it is built, with no eta-long copy; its
-`term`, that eta-long form, is worked out when first read.  Walking the
+nodes.  The tree is expanded as it is built, with no eta-long copy: this
+is the one eta-expansion, and the tree's `term` and `eta_long` read the
+eta-long form off its nodes.  Walking the
 tree under the traversal rules simulates evaluation without performing a
 single substitution; justification pointers do the bookkeeping that
 renaming would otherwise do.  One depth-first walk over a shared prefix
@@ -32,7 +33,7 @@ from itertools import islice
 from typing import NamedTuple, Optional, Union
 
 from .reduction import BudgetExceededError
-from .safety import eta_long, eta_types
+from .safety import eta_types
 from .syntax import (
     Abs,
     App,
@@ -108,8 +109,10 @@ class ComputationTree:
 
     @cached_property
     def term(self) -> Term:
-        """The eta-long form the tree is the tree of, worked out when first read."""
-        return eta_long(self.env, self.source)
+        """The eta-long form the tree is the tree of, read off its nodes
+        when first read: the source itself when that is eta-long."""
+        term = _term_of(self)
+        return self.source if term == self.source else term
 
 
 def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
@@ -118,11 +121,15 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
     Lambda nodes alternate with variable/application nodes; ground-typed
     arguments get an empty lambda node above them so the alternation
     holds everywhere.  Where a lambda's type has more arguments than the
-    term there has binders, the node gets fresh binders, drawn in the
-    order `eta_long` draws them, each passed on as an argument of the
-    body's head.  Type errors surface before any node is built.
+    term there has binders, the node gets fresh binders, drawn in
+    pre-order, each passed on as an argument of the body's head.  Type
+    errors surface before any node is built.
     """
-    term, ty, heads = eta_types(env, term)  # the one type check
+    return _build(env, *eta_types(env, term))  # the one type check
+
+
+def _build(env: TypeEnv, term: Term, ty: SimpleType, heads: Optional[list]) -> ComputationTree:
+    """The tree of canonical `term`, of type `ty`, given what `eta_types` gives."""
     heads = iter(heads or ())  # None when eta-long: binders then give the types
     fresh = None  # the supply of expansion names, made when the first is needed
     nodes: list[TreeNode] = []
@@ -184,6 +191,27 @@ def build_computation_tree(env: TypeEnv, term: Term) -> ComputationTree:
     for n in term.free_names if env else ():  # none in an empty env
         root.order = max(root.order, env[n].order + 1)
     return ComputationTree(root, tuple(nodes), term, dict(env))
+
+
+def _term_of(tree: ComputationTree) -> Term:
+    """The term `tree` is the tree of, built bottom-up in plain loops, so
+    with neither recursion nor a cell: in reverse pre-order each node
+    comes after its subtrees, whose terms then top a stack, first on top."""
+    done: list[Term] = []
+    for node in reversed(tree.nodes):
+        if node.kind == LAM:
+            if node.binders:
+                done.append(Abs(node.binders, done.pop()))
+            continue
+        n = len(node.children)
+        parts = done[:-n - 1:-1]  # the children's terms, in order
+        del done[len(done) - n:]
+        if node.kind == VAR:
+            head = Var(node.name)
+            done.append(App(head, tuple(parts)) if parts else head)
+        else:  # @: the operator, an abstraction, applied to the rest
+            done.append(App(parts[0], tuple(parts[1:])))
+    return done[0]
 
 
 # --------------------------------------------------------------------------

@@ -30,21 +30,23 @@ derivation, one ``TraceEntry`` per node, is spelled out by the same walk
 only when a verdict's ``trace`` is first read, as ``safelc check
 --trace`` does, or its failures are listed for a term that is not Safe.
 ``eta_long`` types the term in the same walk, which notes whether it is
-eta-long already instead of its level, and expands it, when it is not,
-with an explicit stack.  A closed subterm has one type and one level
-(Safe or UnsafeTypable) wherever it stands, so it is typed and checked
-once per object: the walk keeps both on each closed block it leaves
-(:func:`safelc.syntax.keep_closed_type`) and takes such a node below the
-root as typed and checked without entering it.
+eta-long already instead of its level.  When it is not, the walk that
+builds the computation tree (:mod:`safelc.games`) expands it, the one
+expansion for ``safelc traverse`` and ``eta_long`` alike, and
+``eta_long`` reads the eta-long form back off the tree.  A closed
+subterm has one type and one level (Safe or UnsafeTypable) wherever it
+stands, so it is typed and checked once per object: the walk keeps both
+on each closed block it leaves (:func:`safelc.syntax.keep_closed_type`)
+and takes such a node below the root as typed and checked without
+entering it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
-from operator import is_, itemgetter
-from typing import Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .syntax import (
     GROUND,
@@ -54,11 +56,8 @@ from .syntax import (
     Term,
     TypeEnv,
     Var,
-    all_names,
     canonicalize,
-    fresh_names,
     keep_closed_type,
-    mk_app,
     type_text,
 )
 
@@ -485,11 +484,16 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     Idempotent, and beta-eta equal to the input.  The canonical form of
     the input is typed once; when it is already eta-long it is returned
     as it is, so canonical eta-long input comes back as the same object.
+    Otherwise the term's computation tree, which is expanded as it is
+    built (:func:`safelc.games.build_computation_tree`), is built and
+    the eta-long form read back off its nodes.
     """
     term, ty, heads = eta_types(env, term)  # surface type errors before rewriting
     if heads is None:
         return term
-    return _expand(dict(env), term, ty, iter(heads), env)
+    from .games import _build, _term_of  # games imports this module
+
+    return _term_of(_build(env, term, ty, heads))
 
 
 def eta_types(env: TypeEnv, term: Term) -> tuple[Term, SimpleType, Optional[list[SimpleType]]]:
@@ -499,88 +503,3 @@ def eta_types(env: TypeEnv, term: Term) -> tuple[Term, SimpleType, Optional[list
     term = canonicalize(term)
     ty, _, heads = _walk(env, term, _ETA)
     return term, ty, heads
-
-
-def _expand(
-    ctx: dict[str, SimpleType],
-    term: Term,
-    ty: SimpleType,
-    heads: Iterator[SimpleType],
-    env: TypeEnv,
-) -> Term:
-    """The eta-long form of the canonical `term` of type `ty` in `ctx`.
-
-    One depth-first pass with an explicit stack; `heads` yields the types
-    of the abstractions in head position in the pre-order the pass meets
-    them, as the typing walk noted them.  Each node draws its fresh names
-    before its subterms do, and subterms that need no expansion come back
-    as the same objects.  `ctx` is as it was when this returns.
-    """
-    fresh = None  # the name supply, made when the first name is needed
-    # a frame per node left for later: a tuple (source, binders, shadowed
-    # entries of ctx) for a block waiting for its body, or a list [source
-    # App, its expanded parts so far, the head's argument types]
-    stack: list = []
-    t = term
-    while True:
-        # expand t of type ty down to a ground variable, which is its own form
-        while True:
-            if ty.arguments:
-                binders, body = (t.binders, t.body) if isinstance(t, Abs) else ((), t)
-                wanted = ty.arguments[len(binders):]
-                if wanted:
-                    if fresh is None:
-                        fresh = fresh_names("_e", set(all_names(term)).union(env))
-                    extra = tuple(zip(islice(fresh, len(wanted)), wanted))
-                    body = mk_app(body, tuple(Var(n) for n, _ in extra))
-                    binders += extra
-                stack.append((t, binders, tuple(map(ctx.get, map(_binder_name, binders)))))
-                ctx.update(binders)
-                t = body
-            # t is ground: a variable, or an application to expand head first
-            if isinstance(t, Var):
-                out = t
-                break
-            head = t.head
-            if isinstance(head, Var):
-                stack.append([t, [], ctx[head.name].arguments])
-                out = head
-                break
-            ty = next(heads)
-            stack.append([t, [], ty.arguments])
-            t = head
-
-        # out is the form of the node just expanded: go on with its
-        # siblings, taking ground variable arguments as they are, and
-        # rebuild the nodes it ends
-        while stack:
-            frame = stack[-1]
-            if type(frame) is tuple:
-                src, binders, shadowed = frame
-                for (n, _), old in zip(binders, shadowed):
-                    if old is None:
-                        del ctx[n]
-                    else:
-                        ctx[n] = old
-                if isinstance(src, Abs) and binders is src.binders and out is src.body:
-                    out = src
-                else:
-                    out = Abs(binders, out)
-            else:
-                src, parts, wanted = frame
-                parts.append(out)
-                args = src.args
-                i = len(parts) - 1  # the argument to expand next
-                while i < len(args) and not wanted[i].arguments and isinstance(args[i], Var):
-                    parts.append(args[i])
-                    i += 1
-                if i < len(args):
-                    t, ty = args[i], wanted[i]
-                    break
-                if parts[0] is src.head and all(map(is_, parts[1:], args)):
-                    out = src
-                else:
-                    out = App(parts[0], tuple(parts[1:]))
-            stack.pop()
-        else:
-            return out

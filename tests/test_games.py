@@ -371,10 +371,13 @@ def test_deep_term_expanded_at_default_recursion_limit():
         ("s", arrow(GROUND, GROUND)),
         ("z", GROUND),
     )
+    term = Abs(binders, body)
     with recursion_limit(1_000):
-        tree = build_computation_tree({}, Abs(binders, body))
+        tree = build_computation_tree({}, term)
         nf = traversal_normal_form(tree, 10_000)
-    for t in (tree.term, nf):
+        expanded = tree.term
+        long = eta_long({}, term)
+    for t in (expanded, long, nf):
         assert [ty for _, ty in t.binders] == [ty for _, ty in binders]
         f, s, _ = (name for name, _ in t.binders)
         u = t.body
@@ -385,6 +388,29 @@ def test_deep_term_expanded_at_default_recursion_limit():
         (arg,) = u.args
         assert isinstance(arg, Abs) and [ty for _, ty in arg.binders] == [GROUND]
         assert arg.body == App(Var(s), (Var(arg.binders[0][0]),))
+
+
+def test_tree_term_and_eta_long_type_the_input_once(monkeypatch):
+    # the tree's term is read off its nodes with no typing walk, and
+    # eta_long of a term to expand types it once and reads it off a tree
+    env = parse_env("g:(o->o)->o, f:o->o")
+    term = parse(r"(\h:(o->o)->o. h f) g")
+    modes = []
+    walk = safety._walk
+
+    def counted(ctx, t, mode):
+        modes.append(mode)
+        return walk(ctx, t, mode)
+
+    monkeypatch.setattr(safety, "_walk", counted)
+    tree = build_computation_tree(env, term)
+    assert modes == [safety._ETA]
+    modes.clear()
+    want = r"(\h:(o->o)->o. h (\_e1:o. f _e1)) (\_e2:o->o. g (\_e3:o. _e2 _e3))"
+    assert pretty(tree.term) == want
+    assert modes == []
+    assert eta_long(env, term) == tree.term
+    assert modes == [safety._ETA]
 
 
 def test_normal_form_church_one_applied_to_itself():
@@ -805,8 +831,9 @@ def test_hot_functions_make_no_cells():
     # which every call allocates
     for fn in (
         syntax.mk_abs,
-        safety._expand,
         games.build_computation_tree,
+        games._build,
+        games._term_of,
         games.traversal_normal_form,
         games._walk,
         reduction._subst,
