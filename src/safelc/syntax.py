@@ -36,7 +36,9 @@ whether it is ``canonical`` are set when its node is built, from its
 children's, which always exist first, so no code walks a term to learn
 either.  Nodes have
 ``__slots__`` and no instance dict, one slot per field and per cached
-fact, so a term held in memory costs 48 to 96 bytes a node.  Only
+fact, so a term held in memory costs 48 to 96 bytes a node.  Nodes are
+immutable, but an ``Abs`` or ``App`` is built with plain slot stores,
+since every contraction rebuilds the nodes on its path.  Only
 ``free_names`` is filled lazily, once per node, bottom-up without
 recursion: a set on every node would cost more than the node.  ``==``
 and ``hash`` walk with an explicit stack too.
@@ -182,9 +184,12 @@ class Term:
 
     Nodes have slots and no instance dict: a slot per field and per cached
     fact, the lazy ones (`free_names`, `binder_names`) None until first
-    read.  Two nodes are equal when they are of the same class with equal
-    fields; `==` and `hash` walk the terms with an explicit stack.  `repr`,
-    `pickle` and `copy` see the fields alone, as a dataclass's would.
+    read.  Assigning to or deleting a slot raises; `Abs` and `App` are
+    built in a private subclass that stores the slots plainly and then
+    hands the node out under its public class.  Two nodes are equal when
+    they are of the same class with equal fields; `==` and `hash` walk the
+    terms with an explicit stack.  `repr`, `pickle` and `copy` see the
+    fields alone, as a dataclass's would.
     """
 
     __slots__ = ("_free_names",)
@@ -214,9 +219,13 @@ class Term:
         return _fill_free_names(self) if names is None else names
 
 
-# Var, Abs and App set their slots in __init__ through the slots' member
-# descriptors, since assignment raises; Abs and App also check the node and
-# set `size` and `canonical` from the children's.
+# Abs and App are built in `__new__`, in a private subclass whose
+# `__setattr__` and `__delattr__` are `object`'s, so each slot is set by a
+# plain store; the node then takes its public class.  Both must be
+# `object`'s: they share one C slot, and one Python override leaves every
+# store on the slow path.  The checks run before anything is allocated.
+# Var keeps the descriptor setter: with two slots the class swap costs
+# about what it saves.
 
 
 class Var(Term):
@@ -244,20 +253,23 @@ class Abs(Term):
     binders: tuple[Binder, ...]
     body: Term
 
-    def __init__(self, binders: tuple[Binder, ...], body: Term):
+    def __new__(cls, binders: tuple[Binder, ...], body: Term):
         if len(binders) != 1:  # one binder has no name to clash with
             if not binders:
                 raise ValueError("Abs needs at least one binder")
             names = [n for n, _ in binders]
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate binder name in block: {names}")
-        _abs_binders(self, binders)
-        _abs_body(self, body)
-        _abs_size(self, 1 + len(binders) + body.size)
-        _abs_canonical(self, type(body) is not Abs and body.canonical)
-        _abs_closed_type(self, None)
-        _set_free_names(self, None)
-        _abs_binder_names(self, None)
+        self = _new(_BuildAbs)
+        self.binders = binders
+        self.body = body
+        self.size = 1 + len(binders) + body.size
+        self.canonical = type(body) is not Abs and body.canonical
+        self.closed_type = None
+        self._free_names = None
+        self._binder_names = None
+        self.__class__ = Abs
+        return self
 
     def __repr__(self) -> str:
         return f"Abs(binders={self.binders!r}, body={self.body!r})"
@@ -280,7 +292,7 @@ class App(Term):
     head: Term
     args: tuple[Term, ...]
 
-    def __init__(self, head: Term, args: tuple[Term, ...]):
+    def __new__(cls, head: Term, args: tuple[Term, ...]):
         if not args:
             raise ValueError("App needs at least one argument")
         size = 1 + head.size
@@ -288,12 +300,15 @@ class App(Term):
         for a in args:
             size += a.size
             canonical = canonical and a.canonical
-        _app_head(self, head)
-        _app_args(self, args)
-        _app_size(self, size)
-        _app_canonical(self, canonical)
-        _app_closed_type(self, None)
-        _set_free_names(self, None)
+        self = _new(_BuildApp)
+        self.head = head
+        self.args = args
+        self.size = size
+        self.canonical = canonical
+        self.closed_type = None
+        self._free_names = None
+        self.__class__ = App
+        return self
 
     def __repr__(self) -> str:
         return f"App(head={self.head!r}, args={self.args!r})"
@@ -302,17 +317,25 @@ class App(Term):
         return App, (self.head, self.args)
 
 
+class _BuildAbs(Abs):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+class _BuildApp(App):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+_new = object.__new__
 _set_free_names = Term._free_names.__set__
 _var_name = Var.name.__set__
-_abs_binders, _abs_body = Abs.binders.__set__, Abs.body.__set__
-_abs_size, _abs_canonical = Abs.size.__set__, Abs.canonical.__set__
-_abs_closed_type, _abs_binder_names = Abs.closed_type.__set__, Abs._binder_names.__set__
-_app_head, _app_args = App.head.__set__, App.args.__set__
-_app_size, _app_canonical = App.size.__set__, App.canonical.__set__
-_app_closed_type = App.closed_type.__set__
+_abs_binder_names = Abs._binder_names.__set__
 _CLOSED_FACTS = {  # the setters of `closed_type` and `closed_safe`, by kind
-    Abs: (_abs_closed_type, Abs.closed_safe.__set__),
-    App: (_app_closed_type, App.closed_safe.__set__),
+    Abs: (Abs.closed_type.__set__, Abs.closed_safe.__set__),
+    App: (App.closed_type.__set__, App.closed_safe.__set__),
 }
 
 

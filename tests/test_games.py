@@ -837,5 +837,10 @@ def test_hot_functions_make_no_cells():
         games.traversal_normal_form,
         games._walk,
         reduction._subst,
+        reduction._contract_block,
+        reduction._plug,
+        reduction._Reducer.step,
+        syntax.Abs.__new__,
+        syntax.App.__new__,
     ):
         assert fn.__code__.co_cellvars == (), fn.__qualname__

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import sys
 from dataclasses import FrozenInstanceError
@@ -9,12 +10,17 @@ import hypothesis.strategies as st
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
-from safelc.encodings import church_nat
+from safelc.encodings import church_nat, compile_polynomial, parse_polynomial
+from safelc.games import build_computation_tree
+from safelc.reduction import Strategy, normalize
+from safelc.safety import eta_long
 from safelc.syntax import (
     _BLOCKS,
     _BLOCKS_MAX,
     _RESERVED,
     _TOKEN_RE,
+    _BuildAbs,
+    _BuildApp,
     GROUND,
     Abs,
     App,
@@ -211,6 +217,61 @@ def test_term_nodes_keep_dataclass_equality_repr_pickle_and_copy():
         Abs((), x)
     with pytest.raises(ValueError, match="duplicate binder name"):
         Abs((("x", O), ("x", O)), x)
+
+
+def test_no_build_class_leaks_from_any_construction_path():
+    text = r"\f:o->o->o y:o b:o. (\x:o. \y:o. f x y) y b"  # plain renames y
+    poly = compile_polynomial(parse_polynomial("x*y + 2"))
+    applied = App(poly, (church_nat(2), church_nat(3)))
+    made = [
+        parse(text),
+        parse(text, canonical=False),
+        canonicalize(parse(text, canonical=False)),
+        normalize(parse(text), Strategy.PLAIN),
+        normalize(applied, Strategy.PLAIN),
+        normalize(applied, Strategy.SAFE),
+        eta_long(parse_env("f:(o->o)->o"), parse(r"\s:o->o. f s")),
+        build_computation_tree({}, parse(r"\f:(o->o)->o. f")).term,
+        church_nat(3),
+        poly,
+    ]
+    made += [copy.copy(t) for t in made] + [copy.deepcopy(t) for t in made]
+    made += [pickle.loads(pickle.dumps(t)) for t in made]
+    field = {Var: "name", Abs: "body", App: "head"}
+    for term in made:
+        assert "_Build" not in repr(term)
+        assert b"_Build" not in pickle.dumps(term)
+        for t in subterms(term):
+            kind = type(t)
+            assert kind is Var or kind is Abs or kind is App, kind
+            for name in (field[kind], "size"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(t, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(t, name)
+    x = Var("x")
+    with pytest.raises(ValueError, match="at least one binder") as no_binder:
+        Abs((), x)
+    with pytest.raises(ValueError, match="duplicate binder name") as duplicate:
+        Abs((("x", O), ("y", O), ("x", O)), x)
+    with pytest.raises(ValueError, match="at least one argument") as no_arg:
+        App(x, ())
+    # the checks run before a node is allocated, so even the frames the
+    # tracebacks keep alive hold no half-built node
+    assert all(e.traceback for e in (no_binder, duplicate, no_arg))
+    assert not any(type(o) is _BuildAbs or type(o) is _BuildApp for o in gc.get_objects())
+
+
+def test_build_classes_keep_objects_setattr_and_delattr():
+    # `__setattr__` and `__delattr__` share one C slot: overriding only one
+    # of them would send every slot store through a Python-level wrapper
+    for build, public in ((_BuildAbs, Abs), (_BuildApp, App)):
+        assert build.__bases__ == (public,) and build.__slots__ == ()
+        assert build.__setattr__ is object.__setattr__
+        assert build.__delattr__ is object.__delattr__
+    # a bare `__class__` in a method body would make it a closure
+    for fn in (Abs.__new__, App.__new__):
+        assert fn.__code__.co_freevars == (), fn.__qualname__
 
 
 def test_canonicalize_merges_and_flattens():
