@@ -54,9 +54,31 @@ LAM, APP, VAR = 0, 1, 2
 # the traversal length at which enumeration and read-back stop by default
 _DEFAULT_MAX_LEN = 200
 
+# the engine builds its frozen records (`ComputationTree`, `Traversal`,
+# `UncoveredPlay`) as `safety_check` builds a verdict: a bare object and
+# its instance dict filled in field order, which skips the dataclass
+# `__init__` and its `object.__setattr__` per field
+_new = object.__new__
 
-@dataclass(eq=False)
-class LambdaNode:
+
+class _Node:
+    """A tree node's repr is flat: its id, label and order, its binder's
+    id and its children's ids, so printing a node or a tree of any depth
+    neither recurses nor prints a subtree twice."""
+
+    def __repr__(self) -> str:
+        binder = ""
+        if self.kind == VAR:
+            binder = f", binder={None if self.binder is None else self.binder.id}"
+        children = tuple(c.id for c in self.children)
+        return (
+            f"{type(self).__name__}(id={self.id}, label={self.label!r}, "
+            f"order={self.order}{binder}, children={children})"
+        )
+
+
+@dataclass(eq=False, repr=False)
+class LambdaNode(_Node):
     binders: tuple[Binder, ...]
     order: int
     id: int
@@ -70,8 +92,8 @@ class LambdaNode:
         return "\\" + names if names else "\\"
 
 
-@dataclass(eq=False)
-class AppNode:
+@dataclass(eq=False, repr=False)
+class AppNode(_Node):
     order: int
     id: int
     children: tuple["TreeNode", ...] = ()
@@ -80,8 +102,8 @@ class AppNode:
     label = "@"
 
 
-@dataclass(eq=False)
-class VarNode:
+@dataclass(eq=False, repr=False)
+class VarNode(_Node):
     name: str
     ty: SimpleType
     binder: Optional[LambdaNode]  # None = free in the source term
@@ -190,7 +212,9 @@ def _build(env: TypeEnv, term: Term, ty: SimpleType, heads: Optional[list]) -> C
     root = nodes[0]  # it stands for the context: free names raise its order
     for n in term.free_names if env else ():  # none in an empty env
         root.order = max(root.order, env[n].order + 1)
-    return ComputationTree(root, tuple(nodes), term, dict(env))
+    tree = _new(ComputationTree)
+    tree.__dict__.update(root=root, nodes=tuple(nodes), source=term, env=dict(env))
+    return tree
 
 
 def _term_of(tree: ComputationTree) -> Term:
@@ -378,10 +402,13 @@ def enumerate_traversals(
     tuples as it finishes, and a stable sort by length restores the
     canonical order.
     """
-    done = [
-        Traversal(tuple(nodes), tuple(justs), tuple(rules), tuple(core), maximal)
-        for nodes, justs, rules, core, maximal, _ in _walk(tree, max_len)
-    ]
+    done = []
+    for nodes, justs, rules, core, maximal, _ in _walk(tree, max_len):
+        t = _new(Traversal)
+        t.__dict__.update(
+            nodes=tuple(nodes), justifiers=tuple(justs), rules=tuple(rules), core=tuple(core), maximal=maximal
+        )
+        done.append(t)
     done.sort(key=len)
     return tuple(done)
 
@@ -427,7 +454,9 @@ def uncover(t: Traversal) -> UncoveredPlay:
     """Erase the justifiers of P occurrences, keeping O justifiers.
     Length is preserved, and the node and rule tuples are shared."""
     erased = [j if node.kind == LAM else None for node, j in zip(t.nodes, t.justifiers)]
-    return UncoveredPlay(t.nodes, tuple(erased), t.rules, t.maximal)
+    play = _new(UncoveredPlay)
+    play.__dict__.update(nodes=t.nodes, justifiers=tuple(erased), rules=t.rules, maximal=t.maximal)
+    return play
 
 
 def reconstruct_p_pointers(
@@ -488,7 +517,11 @@ def reconstruct_p_pointers(
                     )
         add_just(j)
         add_core(is_core)
-    return Traversal(nodes, tuple(justs), play.rules, tuple(core), play.maximal)
+    t = _new(Traversal)
+    t.__dict__.update(
+        nodes=nodes, justifiers=tuple(justs), rules=play.rules, core=tuple(core), maximal=play.maximal
+    )
+    return t
 
 
 # --------------------------------------------------------------------------

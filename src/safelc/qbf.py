@@ -51,20 +51,35 @@ Formula = Union[BoolVar, Not, And, Or]
 
 
 def formula_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, BoolVar):
-        return frozenset({f.name})
-    if isinstance(f, Not):
-        return formula_vars(f.operand)
-    return formula_vars(f.left) | formula_vars(f.right)
+    """The variables of `f`, gathered with an explicit stack."""
+    names: set[str] = set()
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        kind = type(f)
+        if kind is BoolVar:
+            names.add(f.name)
+        elif kind is Not:
+            todo.append(f.operand)
+        else:
+            todo += (f.left, f.right)
+    return frozenset(names)
 
 
 def count_nodes(f: Formula) -> int:
-    """The connectives plus the atoms of `f`: one per node."""
-    if isinstance(f, BoolVar):
-        return 1
-    if isinstance(f, Not):
-        return 1 + count_nodes(f.operand)
-    return 1 + count_nodes(f.left) + count_nodes(f.right)
+    """The connectives plus the atoms of `f`: one per node, counted with
+    an explicit stack."""
+    n = 0
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        n += 1
+        kind = type(f)
+        if kind is Not:
+            todo.append(f.operand)
+        elif kind is not BoolVar:
+            todo += (f.left, f.right)
+    return n
 
 
 @dataclass(frozen=True)
@@ -99,15 +114,33 @@ class QBF:
 
 
 def formula_text(f: Formula, level: int = 0) -> str:
-    if isinstance(f, BoolVar):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + formula_text(f.operand, 2)
-    if isinstance(f, And):
-        s = f"{formula_text(f.left, 1)} & {formula_text(f.right, 2)}"
-        return f"({s})" if level > 1 else s
-    s = f"{formula_text(f.left, 0)} | {formula_text(f.right, 1)}"
-    return f"({s})" if level > 0 else s
+    """The text of `f` at precedence `level`, printed with an explicit
+    stack, so nesting depth is not limited by Python's recursion limit."""
+    out: list[str] = []
+    todo: list = [(f, level)]  # a (formula, level) to print, or a str to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, level = item
+        kind = type(f)
+        if kind is BoolVar:
+            out.append(f.name)
+        elif kind is Not:
+            out.append("!")
+            todo.append((f.operand, 2))
+        elif kind is And:
+            if level > 1:
+                out.append("(")
+                todo.append(")")
+            todo += ((f.right, 2), " & ", (f.left, 1))
+        else:
+            if level > 0:
+                out.append("(")
+                todo.append(")")
+            todo += ((f.right, 1), " | ", (f.left, 0))
+    return "".join(out)
 
 
 def qbf_text(q: QBF) -> str:

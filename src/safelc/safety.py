@@ -38,7 +38,10 @@ subterm has one type and one level (Safe or UnsafeTypable) wherever it
 stands, so it is typed and checked once per object: the walk keeps both
 on each closed block it leaves (:func:`safelc.syntax.keep_closed_type`)
 and takes such a node below the root as typed and checked without
-entering it.
+entering it.  The first walk to find a closed, canonical term eta-long,
+that of ``safety_check``, ``simple_type_of`` or ``eta_types``, keeps its
+type on it as its ``eta_type``, so neither ``eta_long`` nor the tree
+build, which both start from ``eta_types``, types it again.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .syntax import (
     Var,
     canonicalize,
     keep_closed_type,
+    keep_eta_type,
     type_text,
 )
 
@@ -259,12 +263,15 @@ def _walk(env: TypeEnv, term: Term, mode: int) -> tuple[SimpleType, Optional[Lev
     keeps them is taken as typed, and as a failure when it is not Safe,
     without entering it.
 
-    `_ETA` notes no staircases and keeps nothing; it notes instead whether
-    the term, taken as canonical, is eta-long: every abstraction body is
-    ground, and so is every variable or application standing as the root
-    or as an argument.  It keeps the frame of each application whose head
-    is an abstraction, in pre-order, to read the head's type off at the
-    end.
+    `_ETA` notes no staircases; it notes instead whether the term, taken
+    as canonical, is eta-long: every abstraction body is ground, and so is
+    every variable or application standing as the root or as an argument.
+    It keeps the frame of each application whose head is an abstraction,
+    in pre-order, to read the head's type off at the end.  `_LEVEL` makes
+    the same two checks on a canonical term in the empty environment,
+    unless it takes a node as typed without entering it.  Either keeps
+    the type of a term it finds eta-long there, closed, as its `eta_type`
+    (:func:`safelc.syntax.keep_eta_type`).
 
     Returns the type, the level (None under `_ETA`) and the derivation
     under `_TRACE`.  Under `_ETA` the third item is None when the term is
@@ -273,7 +280,10 @@ def _walk(env: TypeEnv, term: Term, mode: int) -> tuple[SimpleType, Optional[Lev
     entry; otherwise they are spelled out from the stack on an error.
     """
     levels, traced, memo = mode != _ETA, mode == _TRACE, mode == _LEVEL  # memo: kept facts serve
-    eta = not levels  # until a block or an argument shows otherwise
+    # whether the term is eta-long, until a block or an argument shows
+    # otherwise: noted under `_ETA`, and under `_LEVEL` where the fact can
+    # be kept, on a canonical term in the empty environment
+    eta = not levels or (memo and not env and term.canonical)
     redexes: Optional[list] = None if levels else []
     ctx = {n: (ty, -1) for n, ty in env.items()} if env else {}
     trace: Optional[list] = [] if traced else None
@@ -330,6 +340,7 @@ def _walk(env: TypeEnv, term: Term, mode: int) -> tuple[SimpleType, Optional[Lev
                     _add(frame[2], depth, key)
         else:  # typed and checked before, and closed: nothing free to note
             ty = t.closed_type
+            eta = False  # not entered, so not known to be eta-long
             if not t.closed_safe:
                 mark += 1
 
@@ -428,10 +439,11 @@ def _walk(env: TypeEnv, term: Term, mode: int) -> tuple[SimpleType, Optional[Lev
             else:  # closed: Safe when no failure came since it was entered
                 keep_closed_type(node, ty, mark == frame[3])
         else:
+            eta = eta and (not ty.arguments or type(term) is Abs)
+            if eta and not env:  # closed, since it is typed in no environment
+                keep_eta_type(term, ty)
             if not levels:
-                if eta and (not ty.arguments or type(term) is Abs):
-                    return ty, None, None
-                return ty, None, [f[4] for f in redexes]
+                return ty, None, None if eta else [f[4] for f in redexes]
             if mark:
                 level = Level.UNSAFE_TYPABLE
             elif root_failed:
@@ -499,7 +511,11 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
 def eta_types(env: TypeEnv, term: Term) -> tuple[Term, SimpleType, Optional[list[SimpleType]]]:
     """What eta-expanding `term` needs, from one typing walk: its canonical
     form, its type in `env` and the types of its abstractions in head
-    position in pre-order, or None for those when it is eta-long already."""
+    position in pre-order, or None for those when it is eta-long already.
+    A canonical form that keeps its `eta_type` is not walked again."""
     term = canonicalize(term)
+    ty = term.eta_type
+    if ty is not None:  # typed before and found eta-long
+        return term, ty, None
     ty, _, heads = _walk(env, term, _ETA)
     return term, ty, heads

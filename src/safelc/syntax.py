@@ -36,7 +36,7 @@ whether it is ``canonical`` are set when its node is built, from its
 children's, which always exist first, so no code walks a term to learn
 either.  Nodes have
 ``__slots__`` and no instance dict, one slot per field and per cached
-fact, so a term held in memory costs 48 to 96 bytes a node.  Nodes are
+fact, so a term held in memory costs 48 to 104 bytes a node.  Nodes are
 immutable, but an ``Abs`` or ``App`` is built with plain slot stores,
 since every contraction rebuilds the nodes on its path.  Only
 ``free_names`` is filled lazily, once per node, bottom-up without
@@ -180,7 +180,11 @@ class Term:
     together in its node by `keep_closed_type` the first time the walk of
     `simple_type_of` or `safety_check` finds it closed.  `closed_type` is
     None until then and on every other term; `closed_safe` is set with it
-    only, so a node is built without it.
+    only, so a node is built without it.  `eta_type` is the type of a
+    closed, canonical, eta-long Abs or App, kept on it by `keep_eta_type`
+    the first time a typing walk under the empty environment finds it so
+    (:func:`safelc.safety.eta_types` then does not walk it again); None
+    until then and on every other term.
 
     Nodes have slots and no instance dict: a slot per field and per cached
     fact, the lazy ones (`free_names`, `binder_names`) None until first
@@ -197,6 +201,7 @@ class Term:
     size: int
     canonical: bool
     closed_type: Optional[SimpleType] = None
+    eta_type: Optional[SimpleType] = None
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -211,6 +216,9 @@ class Term:
 
     def __hash__(self) -> int:
         return _hash(self)
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
     @property
     def free_names(self) -> frozenset[str]:
@@ -248,7 +256,9 @@ class Var(Term):
 
 
 class Abs(Term):
-    __slots__ = ("binders", "body", "size", "canonical", "closed_type", "closed_safe", "_binder_names")
+    __slots__ = (
+        "binders", "body", "size", "canonical", "closed_type", "closed_safe", "eta_type", "_binder_names"
+    )
 
     binders: tuple[Binder, ...]
     body: Term
@@ -266,13 +276,11 @@ class Abs(Term):
         self.size = 1 + len(binders) + body.size
         self.canonical = type(body) is not Abs and body.canonical
         self.closed_type = None
+        self.eta_type = None
         self._free_names = None
         self._binder_names = None
         self.__class__ = Abs
         return self
-
-    def __repr__(self) -> str:
-        return f"Abs(binders={self.binders!r}, body={self.body!r})"
 
     def __reduce__(self):
         return Abs, (self.binders, self.body)
@@ -287,7 +295,7 @@ class Abs(Term):
 
 
 class App(Term):
-    __slots__ = ("head", "args", "size", "canonical", "closed_type", "closed_safe")
+    __slots__ = ("head", "args", "size", "canonical", "closed_type", "closed_safe", "eta_type")
 
     head: Term
     args: tuple[Term, ...]
@@ -306,12 +314,10 @@ class App(Term):
         self.size = size
         self.canonical = canonical
         self.closed_type = None
+        self.eta_type = None
         self._free_names = None
         self.__class__ = App
         return self
-
-    def __repr__(self) -> str:
-        return f"App(head={self.head!r}, args={self.args!r})"
 
     def __reduce__(self):
         return App, (self.head, self.args)
@@ -345,6 +351,15 @@ def keep_closed_type(term: Term, ty: SimpleType, safe: bool) -> None:
     set_type, set_safe = _CLOSED_FACTS[type(term)]
     set_type(term, ty)
     set_safe(term, safe)
+
+
+_ETA_TYPE = {Abs: Abs.eta_type.__set__, App: App.eta_type.__set__}  # its setter, by kind
+
+
+def keep_eta_type(term: Term, ty: SimpleType) -> None:
+    """Keep `ty` as the `eta_type` of `term`, a closed, canonical, eta-long
+    Abs or App."""
+    _ETA_TYPE[type(term)](term, ty)
 
 
 def _fill_free_names(node: Term) -> frozenset[str]:
@@ -405,6 +420,30 @@ def _equal(a: Term, b: Term) -> bool:
             todo += zip(x.args, y.args)
             todo.append((x.head, y.head))
     return True
+
+
+def _repr(term: Term) -> str:
+    """The dataclass-style text of `term`, printed with an explicit stack."""
+    out: list[str] = []
+    todo: list = [term]  # a term to print, or a str to emit
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is str:
+            out.append(t)
+        elif kind is Abs:
+            out.append(f"Abs(binders={t.binders!r}, body=")
+            todo += (")", t.body)
+        elif kind is App:
+            out.append("App(head=")
+            args = t.args
+            todo.append(",))" if len(args) == 1 else "))")
+            for a in reversed(args[1:]):
+                todo += (a, ", ")
+            todo += (args[0], ", args=(", t.head)
+        else:
+            out.append(f"Var(name={t.name!r})")
+    return "".join(out)
 
 
 def _hash(term: Term) -> int:

@@ -1,10 +1,12 @@
 from collections import deque
+from dataclasses import FrozenInstanceError
 
 import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
 
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
-from safelc.encodings import church_nat
+from safelc.encodings import church_nat, compile_polynomial
 from safelc.games import (
     AppNode,
     ComputationTree,
@@ -28,10 +30,24 @@ from safelc.qbf import parse_qbf
 from safelc.qbf_oracle import eval_qbf
 from safelc.reduction import BudgetExceededError, normalize
 from safelc import games, reduction, safety, syntax
-from safelc.safety import Level, TypeCheckError, eta_long, safety_check, simple_type_of
-from safelc.syntax import GROUND, Abs, App, SimpleType, Var, alpha_eq, arrow, parse, parse_env, pretty
+from safelc.safety import Level, TypeCheckError, eta_long, eta_types, safety_check, simple_type_of
+from safelc.syntax import (
+    GROUND,
+    Abs,
+    App,
+    SimpleType,
+    Var,
+    alpha_eq,
+    arrow,
+    canonicalize,
+    parse,
+    parse_env,
+    pretty,
+    subterms,
+)
 
-from termgen import recursion_limit, terms
+from termgen import copy_term, criterion3_polynomials, names, recursion_limit, terms, types
+from test_safety import _reference_eta_long, _reference_type_of
 
 Y = {"y": GROUND}
 
@@ -842,5 +858,233 @@ def test_hot_functions_make_no_cells():
         reduction._Reducer.step,
         syntax.Abs.__new__,
         syntax.App.__new__,
+        safety.eta_types,
+        games.enumerate_traversals,
+        games.uncover,
+        games.reconstruct_p_pointers,
     ):
+        # a method that reads a bare `__class__` or calls `super()` gets a
+        # free variable, not a cell of its own
         assert fn.__code__.co_cellvars == (), fn.__qualname__
+        assert fn.__code__.co_freevars == (), fn.__qualname__
+
+
+# --------------------------------------------------------------------------
+# the eta-long type a typing walk keeps on a closed term
+
+
+def eta_outputs(env, term):
+    """What eta-expanding `term` gives: `eta_types`, the tree's node
+    fields and `eta_long`, or the error."""
+    try:
+        canonical, ty, heads = eta_types(env, term)
+        fields = node_fields(build_computation_tree(env, term))
+        return canonical, ty, heads, fields, eta_long(env, term)
+    except TypeCheckError as e:
+        return type(e), str(e)
+
+
+def first_walk(walk, env, term):
+    try:
+        walk(env, term)
+    except TypeCheckError:
+        pass
+
+
+FIRST_WALKS = (safety_check, simple_type_of, eta_types)
+
+
+def assert_kept_type_changes_no_output(env, term):
+    want = eta_outputs(env, copy_term(term))
+    for walk in FIRST_WALKS:
+        t = copy_term(term)
+        first_walk(walk, env, t)
+        assert eta_outputs(env, t) == want, walk.__name__
+
+
+def fact_populations():
+    """The hand corpus with its environments, two generated corpora, ladder
+    rungs 2-12 for both connectives and criterion 3's compiled polynomials."""
+    out = [(e.env, e.term) for e in HAND_CORPUS]
+    for seed in (3, 17):
+        out += [({}, t) for t in generate_safe_corpus(300, seed)]
+    for connective in "|&":
+        out += [({}, ladder_term(rung, connective)) for rung in range(2, 13)]
+    out += [({}, compile_polynomial(p)) for p in criterion3_polynomials()]
+    return out
+
+
+def test_kept_eta_type_changes_no_output_on_populations():
+    for env, term in fact_populations():
+        assert_kept_type_changes_no_output(env, term)
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(terms, st.dictionaries(names, types))
+def test_kept_eta_type_changes_no_output_on_raw_terms(raw, env):
+    free = tuple((n, GROUND) for n in sorted(raw.free_names))
+    assert_kept_type_changes_no_output({}, Abs(free, raw) if free else raw)
+    assert_kept_type_changes_no_output(env, raw)
+
+
+def assert_kept_only_where_it_holds(env, term):
+    """After each first walk the root keeps its eta-long type exactly when
+    it is closed, canonical, eta-long and typed in the empty environment,
+    and no other node keeps one."""
+    try:  # the recursive references decide, not the walk under test
+        ty = _reference_type_of(dict(env), term)
+        holds = not env and term.canonical and _reference_eta_long(env, term) == term
+    except TypeCheckError:
+        holds = False
+    for walk in FIRST_WALKS:
+        t = copy_term(term)
+        first_walk(walk, env, t)
+        assert t.eta_type is (ty if holds else None), walk.__name__
+        assert all(s.eta_type is None for s in subterms(t) if s is not t)
+
+
+def test_eta_type_kept_only_on_closed_canonical_eta_long_terms():
+    for env, term in fact_populations():
+        assert_kept_only_where_it_holds(env, term)
+        assert_kept_only_where_it_holds(parse_env("q:o"), term)
+    for src, env in (
+        (r"\x:o. \y:o. x", ""),  # not canonical, as parsed below
+        (r"\f:o->o->o x:o. (f x) x", ""),  # eta-long, but not canonical as parsed below
+        (r"\f:o->o. f", ""),  # an arrow-typed body
+        (r"(\f:o->o x:o. f x) (\y:o. y)", ""),  # an arrow-typed root, not abstracted
+        (r"(\x:o. x) ((\f:o->o. f) (\y:o. y) c)", "c:o"),  # open
+        (r"\g:(o->o)->o. g (\y:o. y)", ""),
+        (r"\x:o. x x", ""),  # ill-typed
+    ):
+        for canonical in (True, False):
+            assert_kept_only_where_it_holds(parse_env(env), parse(src, canonical=canonical))
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(terms, st.dictionaries(names, types))
+def test_eta_type_kept_only_where_it_holds_on_raw_terms(raw, env):
+    free = tuple((n, GROUND) for n in sorted(raw.free_names))
+    assert_kept_only_where_it_holds({}, Abs(free, raw) if free else raw)
+    assert_kept_only_where_it_holds(env, raw)
+
+
+def test_eta_type_not_kept_past_a_subterm_taken_as_typed():
+    # the closed argument \x:o. x is typed first, so the check of the whole
+    # takes it as typed without entering it and cannot tell it eta-long
+    inner = parse(r"\x:o. x")
+    term = Abs((("c", GROUND),), App(parse(r"\f:o->o. f c"), (inner,)))
+    assert copy_term(term).canonical and eta_types({}, copy_term(term))[2] is None
+    simple_type_of({}, inner)
+    for walk in (safety_check, simple_type_of):
+        walk({}, term)
+        assert term.eta_type is None
+    ty = eta_types({}, term)[1]
+    assert term.eta_type is ty
+    # and a walk under an environment keeps nothing
+    other = copy_term(term)
+    for walk in FIRST_WALKS:
+        walk(parse_env("c:o"), other)
+        assert other.eta_type is None
+
+
+def counted_walks(monkeypatch):
+    modes = []
+    walk = safety._walk
+
+    def counted(ctx, t, mode):
+        modes.append(mode)
+        return walk(ctx, t, mode)
+
+    monkeypatch.setattr(safety, "_walk", counted)
+    return modes
+
+
+def test_checked_term_not_typed_again_for_its_tree_or_eta_long(monkeypatch):
+    modes = counted_walks(monkeypatch)
+    closed = [parse(r"\f:o->o x:o. f x"), church_nat(3), KIERSTEAD, *generate_safe_corpus(40, 7)]
+    eta_long_terms = [t for t in closed if eta_types({}, copy_term(t))[2] is None]
+    assert len(eta_long_terms) > 30
+    for term in eta_long_terms:
+        term = copy_term(term)
+        safety_check({}, term)
+        modes.clear()
+        build_computation_tree({}, term)
+        assert eta_long({}, term) is term
+        assert modes == []
+    for src, env, canonical in (
+        ("f x", "f:o->o, x:o", True),  # open
+        (r"\x:o. \y:o. x", "", False),  # not canonical
+        (r"\f:o->o. f", "", True),  # not eta-long
+        (r"\x:o. x", "y:o", True),  # a non-empty environment
+    ):
+        term, env = parse(src, canonical=canonical), parse_env(env)
+        safety_check(env, term)
+        for build in (build_computation_tree, eta_long):
+            modes.clear()
+            build(env, term)
+            assert modes == [safety._ETA], (src, build.__name__)
+
+
+def test_engine_records_equal_public_constructions_and_stay_frozen():
+    tree = build_computation_tree({}, K4_TWIST)
+    public = ComputationTree(tree.root, tree.nodes, tree.source, tree.env)
+    assert tree == public and repr(tree) == repr(public)
+    assert list(vars(tree)) == list(vars(public))
+    assert "term" not in tree.__dict__
+    records = [tree]
+    for t in enumerate_traversals(tree):
+        play = uncover(t)
+        back = reconstruct_p_pointers(play, tree)
+        for got in (t, back):
+            want = Traversal(got.nodes, got.justifiers, got.rules, got.core, got.maximal)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert vars(got) == vars(want) and list(vars(got)) == list(vars(want))
+        want = UncoveredPlay(play.nodes, play.justifiers, play.rules, play.maximal)
+        assert play == want and hash(play) == hash(want) and repr(play) == repr(want)
+        assert list(vars(play)) == list(vars(want))
+        records += [t, play, back]
+    for record in records:
+        assert type(record) in (ComputationTree, Traversal, UncoveredPlay)
+        with pytest.raises(FrozenInstanceError):
+            record.nodes = ()
+        with pytest.raises(FrozenInstanceError):
+            del record.nodes
+
+
+# --------------------------------------------------------------------------
+# flat reprs
+
+
+def test_node_reprs_are_flat():
+    t = tree_of(r"(\x:o. x) y", Y)
+    assert [repr(n) for n in t.nodes] == [
+        "LambdaNode(id=0, label='\\\\', order=1, children=(1,))",  # y is free
+        "AppNode(id=1, label='@', order=0, children=(2, 4))",
+        "LambdaNode(id=2, label='\\\\x', order=1, children=(3,))",
+        "VarNode(id=3, label='x', order=0, binder=2, children=())",
+        "LambdaNode(id=4, label='\\\\', order=0, children=(5,))",
+        "VarNode(id=5, label='y', order=0, binder=None, children=())",
+    ]
+    assert repr(t).startswith(f"ComputationTree(root={t.nodes[0]!r}, nodes=(")
+
+
+def test_tree_reprs_print_each_node_once():
+    tree = build_computation_tree({}, ladder_term(4, "&"))
+    assert len(tree.nodes) == 332
+    text = repr(tree)
+    nodes = ", ".join(map(repr, tree.nodes))
+    assert text == (
+        f"ComputationTree(root={tree.root!r}, nodes=({nodes}), "
+        f"source={tree.source!r}, env={{}})"
+    )
+    assert len(text) < 30_000  # about 2 MB when each variable printed its binder's subtree
+
+
+def test_reprs_of_deep_numeral_tree_at_default_recursion_limit():
+    numeral = church_nat(3000)
+    tree = build_computation_tree({}, numeral)
+    with recursion_limit(1_000):
+        root = repr(tree.root)
+        text = repr(tree)
+    assert root == "LambdaNode(id=0, label='\\\\s z', order=2, children=(1,))"
+    assert text.startswith(f"ComputationTree(root={root}, nodes=({root}, ")

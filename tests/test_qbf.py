@@ -9,12 +9,16 @@ from safelc.qbf import (
     Or,
     QBF,
     Quantifier,
+    count_nodes,
+    formula_text,
     formula_vars,
     parse_qbf,
     qbf_text,
 )
 from safelc.qbf_oracle import MAX_QUANTIFIERS, eval_qbf
 from safelc.syntax import ParseError
+
+from termgen import recursion_limit
 
 
 def test_parse_example():
@@ -144,3 +148,57 @@ def test_oracle_negation_duality(matrix):
     assert eval_qbf(QBF(all_prefix, matrix)) != eval_qbf(
         QBF(any_prefix, Not(matrix))
     )
+
+
+def _reference_formula_text(f, level=0):
+    """The recursive printer the explicit-stack one replaced."""
+    if isinstance(f, BoolVar):
+        return f.name
+    if isinstance(f, Not):
+        return "!" + _reference_formula_text(f.operand, 2)
+    if isinstance(f, And):
+        s = f"{_reference_formula_text(f.left, 1)} & {_reference_formula_text(f.right, 2)}"
+        return f"({s})" if level > 1 else s
+    s = f"{_reference_formula_text(f.left, 0)} | {_reference_formula_text(f.right, 1)}"
+    return f"({s})" if level > 0 else s
+
+
+def _reference_vars_and_count(f):
+    if isinstance(f, BoolVar):
+        return {f.name}, 1
+    if isinstance(f, Not):
+        names, n = _reference_vars_and_count(f.operand)
+        return names, n + 1
+    (a, m), (b, n) = _reference_vars_and_count(f.left), _reference_vars_and_count(f.right)
+    return a | b, m + n + 1
+
+
+formulas = st.recursive(
+    st.builds(BoolVar, st.sampled_from("xyz")),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=12,
+)
+
+
+@hyp.given(formulas)
+def test_formula_walks_match_the_recursive_references(f):
+    names, n = _reference_vars_and_count(f)
+    assert (formula_vars(f), count_nodes(f)) == (names, n)
+    for level in (0, 1, 2):
+        assert formula_text(f, level) == _reference_formula_text(f, level)
+
+
+def test_deep_formula_at_default_recursion_limit():
+    # !(y & !(x & !(y & ... z))), 3,000 connective pairs deep, built from AST nodes
+    n = 3_000
+    f = BoolVar("z")
+    for i in range(n):
+        f = Not(And(BoolVar("xy"[i % 2]), f))
+    prefix = ((Quantifier.FORALL, "x"), (Quantifier.EXISTS, "y"), (Quantifier.FORALL, "z"))
+    with recursion_limit(1_000):
+        q = QBF(prefix, f)
+        size = q.size
+        text = str(q)
+    assert size == 3 + 3 * n + 1
+    matrix = "".join(f"!({'xy'[i % 2]} & " for i in reversed(range(n))) + "z" + ")" * n
+    assert text == "forall x. exists y. forall z. " + matrix

@@ -219,6 +219,35 @@ def test_term_nodes_keep_dataclass_equality_repr_pickle_and_copy():
         Abs((("x", O), ("x", O)), x)
 
 
+def _reference_repr(t: Term) -> str:
+    """The text the nodes printed as dataclasses, recursively."""
+    if isinstance(t, Var):
+        return f"Var(name={t.name!r})"
+    if isinstance(t, Abs):
+        return f"Abs(binders={t.binders!r}, body={_reference_repr(t.body)})"
+    args = ", ".join(map(_reference_repr, t.args))
+    return f"App(head={_reference_repr(t.head)}, args=({args}{',' if len(t.args) == 1 else ''}))"
+
+
+@hyp.given(terms)
+def test_term_repr_matches_the_recursive_reference(t):
+    assert repr(t) == _reference_repr(t)
+
+
+def test_term_repr_matches_the_recursive_reference_on_corpora():
+    for t in [e.term for e in HAND_CORPUS] + list(generate_safe_corpus(300, 3)):
+        assert repr(t) == _reference_repr(t)
+
+
+def test_term_repr_at_default_recursion_limit():
+    n = 3_000
+    numeral = church_nat(n)
+    with recursion_limit(1_000):
+        text = repr(numeral)
+    s = "App(head=Var(name='s'), args=("
+    assert text == "Abs(binders=(('s', o->o), ('z', o)), body=" + s * n + "Var(name='z')" + ",))" * n + ")"
+
+
 def test_no_build_class_leaks_from_any_construction_path():
     text = r"\f:o->o->o y:o b:o. (\x:o. \y:o. f x y) y b"  # plain renames y
     poly = compile_polynomial(parse_polynomial("x*y + 2"))
