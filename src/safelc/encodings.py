@@ -95,13 +95,15 @@ def _read_spine(term: Term, k: int, what: str) -> list[int]:
     return _spine_letters(t, k, what)
 
 
+_UNARY = arrow(GROUND, GROUND)  # the type of a letter
+
+
 def _spine_letters(t: Term, k: int, what: str) -> list[int]:
     """The letter indices of `t` read as it stands."""
     if not isinstance(t, Abs) or len(t.binders) != k + 1:
         raise DecodeError(f"not a {what}: expected {k + 1} binders")
-    unary = arrow(GROUND, GROUND)
     for name, ty in t.binders[:k]:
-        if ty != unary:
+        if ty != _UNARY:
             raise DecodeError(f"not a {what}: letter binder {name} has type {ty}")
     z, z_ty = t.binders[k]
     if z_ty != GROUND:
@@ -114,7 +116,7 @@ def _spine_letters(t: Term, k: int, what: str) -> list[int]:
             raise DecodeError(f"not a {what}: spine head is not a letter")
         out.append(index[cur.head.name])
         cur = cur.args[0]
-    if cur != Var(z):
+    if type(cur) is not Var or cur.name != z:
         raise DecodeError(f"not a {what}: spine does not end at the base")
     return out
 
@@ -137,7 +139,11 @@ def church_nat_at(n: int, a: SimpleType) -> Term:
     """
     if n < 0:
         raise ValueError("numerals encode nonnegative integers")
-    return Abs((("s", arrow(a, a)), ("z", a)), _spine("s" * n, Var, Var("z")))
+    s = Var("s")  # one node for every letter of the spine
+    body: Term = Var("z")
+    for _ in range(n):
+        body = App(s, (body,))
+    return Abs((("s", arrow(a, a)), ("z", a)), body)
 
 
 def decode_nat(term: Term) -> int:

@@ -30,24 +30,100 @@ class BoolVar:
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class _Connective:
+    """`repr`, `==` and `hash` of a formula node above an atom: those of a
+    frozen dataclass, each walked with an explicit stack, so nesting depth
+    is not limited by Python's recursion limit."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return _formula_repr(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _formula_eq(self, other)
+
+    def __hash__(self) -> int:
+        return _formula_hash(self)
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class Not(_Connective):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, repr=False, eq=False)
+class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, repr=False, eq=False)
+class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
 Formula = Union[BoolVar, Not, And, Or]
+
+
+def _formula_repr(f: Formula) -> str:
+    out: list[str] = []
+    todo: list = [f]  # a formula to print, or a str to emit
+    while todo:
+        f = todo.pop()
+        kind = type(f)
+        if kind is str:
+            out.append(f)
+        elif kind is Not:
+            out.append("Not(operand=")
+            todo += (")", f.operand)
+        elif kind is BoolVar:
+            out.append(repr(f))
+        else:
+            out.append(f"{kind.__name__}(left=")
+            todo += (")", f.right, ", right=", f.left)
+    return "".join(out)
+
+
+def _formula_eq(a: Formula, b: Formula) -> bool:
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is Not:
+            todo.append((x.operand, y.operand))
+        elif kind is BoolVar:
+            if x.name != y.name:
+                return False
+        else:
+            todo += ((x.right, y.right), (x.left, y.left))
+    return True
+
+
+def _formula_hash(f: Formula) -> int:
+    """A hash of the nodes in pre-order, which spell the whole formula, so
+    equal formulas hash alike."""
+    h = 0
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        kind = type(f)
+        if kind is BoolVar:
+            h = hash((h, f.name))
+            continue
+        h = hash((h, kind))
+        if kind is Not:
+            todo.append(f.operand)
+        else:
+            todo += (f.right, f.left)
+    return h
 
 
 def formula_vars(f: Formula) -> frozenset[str]:

@@ -32,7 +32,10 @@ finds it for `beta_step`, `safe_step`, `reduction_sequence` and
 canonical, so the paper's redex blocks (\x1..xn. M) N1..Nk are the nodes
 the driver meets.  It walks down a stack of contexts (a zipper) into
 abstraction bodies and into the arguments, left to right, of applications
-headed by a variable, and contracts at the first redex it meets.  It then
+headed by a variable, and contracts at the first redex it meets.  An
+abstraction or a one-argument application is its own frame on that
+stack; only an application of more arguments takes a list that records
+which argument the walk is in.  It then
 goes on from the contractum rather than from the root: the nodes above it
 are still abstractions and variable-headed applications and everything
 to its left is still normal, so a search from the root would come back to
@@ -45,10 +48,17 @@ simultaneous no-rename substitution, the binders left re-wrap the body
 and the arguments left re-apply to it.  It is `safe_step`'s contraction,
 and `normalize` under the plain strategy takes it too where it can,
 counted as the j one-binder steps it stands for.  The names of a block
-are distinct, so the two agree when no step would rename: the walk
-captures nothing, and no Ni whose xi is free in M has a later binder of
-the block free, so no step substitutes into an argument an earlier one
-put in place.  A canonical body only grows under substitution, so no
+are distinct, so the two differ only by a binder that a step renames and
+that reaches the result.  Step i renames the later binders of the block
+that are free in Ni, when xi is free in M.  A binder the block consumes
+never reaches the result, its size or the step count: step i renames
+x(i+1) to x', and step i+1 substitutes N(i+1) for x', which gives the
+simultaneous M[N1/x1, N2/x2, ...].  So only the binders the block leaves,
+x(j+1)..xn, are checked against those Ni.  A binder inside M is renamed
+where an image that lands under it has its name free, which the walk
+reports as a capture, or where it bears the name x'1, x'1'1, ... that a
+rename of the x landing under it would take, which the walk reports as
+well.  A canonical body only grows under substitution, so no
 term on the way is larger than (\x2..xn. M') N2..Nk with the whole
 substituted body M' in place; the size budget is checked against that.
 The block is stepped instead when M is one of x1..x(j-1) (an argument
@@ -81,6 +91,7 @@ from .syntax import (
     canonicalize,
     mk_abs,
     mk_app,
+    new_app,
     primed,
 )
 
@@ -140,12 +151,15 @@ def _coerce_strategy(strategy: "Strategy | str") -> Strategy:
 _NO_CAPTURE: frozenset[str] = frozenset()
 
 
-def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, frozenset[str]]:
+def _subst(term: Term, mapping: Substitution, rename: Optional[bool]) -> tuple[Term, frozenset[str]]:
     # One walk for both disciplines.  Returns the substituted term plus
     # the binder names that captured a free variable of some landed image.
     # A binder clashes when it names a free variable of an image that lands
     # under it; with `rename` the binder is renamed out of the way (so the
-    # set stays empty), without it the clash is reported.
+    # set stays empty), without it the clash is reported.  `rename` None
+    # is a plain redex block contracted at once: a binder under which a
+    # mapped x lands and that a rename of x could be named (x'1, x'1'1,
+    # ...) is reported too (see `_contract_block`).
     if not mapping:
         return term, _NO_CAPTURE
     kind = type(term)
@@ -159,9 +173,9 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
             new_head = mapping.get(head.name, head)
         elif not (head._free_names or head.free_names).isdisjoint(mapping):
             new_head, captured = _subst(head, mapping, rename)
-        changed = new_head is not head
-        args = []
-        for c in term.args:
+        args = term.args
+        if len(args) == 1:  # a numeral's spine: no list to build
+            c = args[0]
             if type(c) is Var:
                 new = mapping.get(c.name, c)
             elif (c._free_names or c.free_names).isdisjoint(mapping):
@@ -171,13 +185,30 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
                 if more:
                     captured |= more
             if new is not c:
-                changed = True
-            args.append(new)
-        if not changed:
-            return term, captured
+                args = (new,)
+            elif new_head is head:
+                return term, captured
+        else:
+            changed = new_head is not head
+            new_args = []
+            for c in args:
+                if type(c) is Var:
+                    new = mapping.get(c.name, c)
+                elif (c._free_names or c.free_names).isdisjoint(mapping):
+                    new = c
+                else:
+                    new, more = _subst(c, mapping, rename)
+                    if more:
+                        captured |= more
+                if new is not c:
+                    changed = True
+                new_args.append(new)
+            if not changed:
+                return term, captured
+            args = tuple(new_args)
         if type(new_head) is App:  # flattened, as `mk_app` would
-            return App(new_head.head, new_head.args + tuple(args)), captured
-        return App(new_head, tuple(args)), captured
+            return new_app(new_head.head, new_head.args + args), captured
+        return new_app(new_head, args), captured
     # loops, not comprehensions: one would turn the locals it reads into
     # cells, which every call of this function would then create
     shadowed = term.binder_names
@@ -193,6 +224,12 @@ def _subst(term: Term, mapping: Substitution, rename: bool) -> tuple[Term, froze
                 clashing = clashing.union(names.intersection(shadowed))
     if not active:
         return term, _NO_CAPTURE
+    if rename is None:
+        for y in shadowed:
+            if "'" in y:
+                for x in active:
+                    if y.startswith(x + "'"):
+                        clashing = clashing.union((y,))
     binders = term.binders
     if clashing and rename:
         used = set(free) | set(shadowed) | set(active)
@@ -259,37 +296,35 @@ def _contract_block(head: Abs, args: tuple[Term, ...], room: Optional[int] = Non
     names = head._binder_names or head.binder_names
     n, k = len(binders), len(args)
     j = n if n < k else k
-    free = body._free_names or body.free_names
-    if room is not None:
-        # an argument standing as the body mid-block would regroup the block
-        if type(body) is Var and body.name in names[: j - 1]:
+    plain = room is not None
+    # an argument standing as the body mid-block would regroup the block
+    if plain and type(body) is Var and body.name in names[: j - 1]:
+        return None
+    left = _NO_CAPTURE
+    if j < n:  # binders the block leaves, free in an image: captured, or renamed by a step
+        free = body._free_names or body.free_names
+        for i in range(j):
+            if names[i] in free:
+                left = left | (args[i]._free_names or args[i].free_names).intersection(names[j:])
+        if left and plain:
             return None
-        # no step renames a later binder or substitutes into an earlier argument
-        for i in range(min(j, n - 1)):
-            a = args[i]
-            if names[i] in free and not (a._free_names or a.free_names).isdisjoint(names[i + 1 :]):
-                return None
-    new, captured = _subst(body, dict(zip(names, args)), False)
-    if room is not None:
+    new, captured = _subst(body, dict(zip(names, args)), None if plain else False)
+    if plain:
         # the largest term on the way is at most (\x2..xn. new) N2..Nk
         if captured or new.size - body.size - 1 - args[0].size > room:
             return None
-    else:
-        if j < n:  # a binder left can capture as an inner one can
-            for x, a in zip(names, args):
-                if x in free:
-                    captured = captured | a.free_names.intersection(names[j:])
-        if captured:
-            raise CaptureViolation(
-                captured,
-                f"no-rename contraction captured free variable(s): {', '.join(sorted(captured))}",
-            )
+    elif captured or left:
+        captured = captured | left
+        raise CaptureViolation(
+            captured,
+            f"no-rename contraction captured free variable(s): {', '.join(sorted(captured))}",
+        )
     if j < n:
         rest = binders[j:]
         return mk_abs(rest, new) if type(new) is Abs else Abs(rest, new)
     if j < k:
         rest = args[j:]
-        return App(new.head, new.args + rest) if type(new) is App else App(new, rest)
+        return new_app(new.head, new.args + rest) if type(new) is App else new_app(new, rest)
     return new
 
 
@@ -298,21 +333,26 @@ def _contract_block(head: Abs, args: tuple[Term, ...], room: Optional[int] = Non
 #
 # The driver reduces canonical terms, and every contraction keeps them
 # canonical: a head is never an application and a body never an
-# abstraction, so the walk meets two kinds of frame.  An argument is put
-# back with `App`; a body with `mk_abs`, and a contractum that is an
+# abstraction.  Each frame of its stack is the node the walk went down
+# from: an Abs stands for its body and a one-argument App for its
+# argument, and only an App with more arguments takes a list
+# [node, argument index, new arguments or None].  An argument is put back
+# with `new_app`; a body with `mk_abs`, and a contractum that is an
 # abstraction directly in a body merges into that block at once.
-
-_ARG, _BODY = range(2)
 
 
 def _plug(stack: list, term: Term) -> Term:
     """The whole term: `term` put back into the context `stack`."""
-    for kind, node, i, args in reversed(stack):
-        if kind == _ARG:
-            before = node.args[:i] if args is None else tuple(args[:i])
-            term = App(node.head, before + (term,) + node.args[i + 1 :])
+    for frame in reversed(stack):
+        kind = type(frame)
+        if kind is Abs:
+            term = mk_abs(frame.binders, term)
+        elif kind is App:
+            term = new_app(frame.head, (term,))
         else:
-            term = mk_abs(node.binders, term)
+            node, i, args = frame
+            before = node.args[:i] if args is None else tuple(args[:i])
+            term = new_app(node.head, before + (term,) + node.args[i + 1 :])
     return term
 
 
@@ -340,7 +380,7 @@ class _Reducer:
     ):
         self.plain = _coerce_strategy(strategy) is Strategy.PLAIN
         self.budget = budget
-        self.stack: list = []  # frames [kind, node, argument index, new arguments]
+        self.stack: list = []  # frames: Abs, one-argument App, or [App, index, new args]
         self.focus = term
         self.steps = 0
         self.size = term.size
@@ -360,33 +400,36 @@ class _Reducer:
             if kind is App:
                 if type(focus.head) is Abs:
                     break
-                stack.append([_ARG, focus, 0, None])
-                focus = focus.args[0]
+                args = focus.args
+                stack.append(focus if len(args) == 1 else [focus, 0, None])
+                focus = args[0]
                 continue
             if kind is Abs:
-                stack.append([_BODY, focus, 0, None])
+                stack.append(focus)
                 focus = focus.body
                 continue
             # the focus is normal: climb to the next argument left to walk
             while stack:
-                frame = stack[-1]
-                kind, node, i, args = frame
-                if kind == _ARG:
+                frame = stack.pop()
+                kind = type(frame)
+                if kind is Abs:
+                    focus = frame if focus is frame.body else mk_abs(frame.binders, focus)
+                elif kind is App:
+                    focus = frame if focus is frame.args[0] else new_app(frame.head, (focus,))
+                else:
+                    node, i, args = frame
                     if args is not None:
                         args[i] = focus
                     elif focus is not node.args[i]:
-                        args = frame[3] = list(node.args)
+                        args = frame[2] = list(node.args)
                         args[i] = focus
                     i += 1
                     if i < len(node.args):
-                        frame[2] = i
+                        frame[1] = i
+                        stack.append(frame)
                         focus = node.args[i]
                         break
-                    stack.pop()
-                    focus = node if args is None else App(node.head, tuple(args))
-                else:
-                    stack.pop()
-                    focus = node if focus is node.body else mk_abs(node.binders, focus)
+                    focus = node if args is None else new_app(node.head, tuple(args))
             else:
                 self.focus = focus
                 return False
@@ -410,9 +453,9 @@ class _Reducer:
                 f"(current term size {size})",
             )
         self.steps += j
-        if stack and stack[-1][0] == _BODY and type(new) is Abs:
+        if stack and type(stack[-1]) is Abs and type(new) is Abs:
             # an abstraction in a body joins the enclosing block
-            binders = stack.pop()[1].binders
+            binders = stack.pop().binders
             merged = mk_abs(binders, new)
             size += merged.size - (1 + len(binders) + focus.size)
             new = merged

@@ -41,7 +41,8 @@ and takes such a node below the root as typed and checked without
 entering it.  The first walk to find a closed, canonical term eta-long,
 that of ``safety_check``, ``simple_type_of`` or ``eta_types``, keeps its
 type on it as its ``eta_type``, so neither ``eta_long`` nor the tree
-build, which both start from ``eta_types``, types it again.
+build, which both start from ``eta_types``, types it again; ``eta_long``
+keeps the type on the closed form it expands too.
 """
 
 from __future__ import annotations
@@ -498,14 +499,19 @@ def eta_long(env: TypeEnv, term: Term) -> Term:
     as it is, so canonical eta-long input comes back as the same object.
     Otherwise the term's computation tree, which is expanded as it is
     built (:func:`safelc.games.build_computation_tree`), is built and
-    the eta-long form read back off its nodes.
+    the eta-long form read back off its nodes; typed in no environment,
+    that form is closed and keeps its type as its `eta_type`, so it is not
+    typed again.
     """
     term, ty, heads = eta_types(env, term)  # surface type errors before rewriting
     if heads is None:
         return term
     from .games import _build, _term_of  # games imports this module
 
-    return _term_of(_build(env, term, ty, heads))
+    out = _term_of(_build(env, term, ty, heads))
+    if not env:
+        keep_eta_type(out, ty)
+    return out
 
 
 def eta_types(env: TypeEnv, term: Term) -> tuple[Term, SimpleType, Optional[list[SimpleType]]]:

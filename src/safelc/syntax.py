@@ -227,11 +227,12 @@ class Term:
         return _fill_free_names(self) if names is None else names
 
 
-# Abs and App are built in `__new__`, in a private subclass whose
-# `__setattr__` and `__delattr__` are `object`'s, so each slot is set by a
-# plain store; the node then takes its public class.  Both must be
-# `object`'s: they share one C slot, and one Python override leaves every
-# store on the slow path.  The checks run before anything is allocated.
+# Abs is built in `__new__` and App in `new_app`, which `App.__new__`
+# calls once its check passes, in a private subclass whose `__setattr__`
+# and `__delattr__` are `object`'s, so each slot is set by a plain store;
+# the node then takes its public class.  Both must be `object`'s: they
+# share one C slot, and one Python override leaves every store on the
+# slow path.  The checks run before anything is allocated.
 # Var keeps the descriptor setter: with two slots the class swap costs
 # about what it saves.
 
@@ -303,21 +304,7 @@ class App(Term):
     def __new__(cls, head: Term, args: tuple[Term, ...]):
         if not args:
             raise ValueError("App needs at least one argument")
-        size = 1 + head.size
-        canonical = type(head) is not App and head.canonical
-        for a in args:
-            size += a.size
-            canonical = canonical and a.canonical
-        self = _new(_BuildApp)
-        self.head = head
-        self.args = args
-        self.size = size
-        self.canonical = canonical
-        self.closed_type = None
-        self.eta_type = None
-        self._free_names = None
-        self.__class__ = App
-        return self
+        return new_app(head, args)
 
     def __reduce__(self):
         return App, (self.head, self.args)
@@ -336,6 +323,27 @@ class _BuildApp(App):
 
 
 _new = object.__new__
+
+
+def new_app(head: Term, args: tuple[Term, ...]) -> App:
+    """`App(head, args)` for `args` known not to be empty: the one place
+    that fills an App's slots, called unchecked on the reduction path."""
+    size = 1 + head.size
+    canonical = type(head) is not App and head.canonical
+    for a in args:
+        size += a.size
+        canonical = canonical and a.canonical
+    self = _new(_BuildApp)
+    self.head = head
+    self.args = args
+    self.size = size
+    self.canonical = canonical
+    self.closed_type = None
+    self.eta_type = None
+    self._free_names = None
+    self.__class__ = App
+    return self
+
 _set_free_names = Term._free_names.__set__
 _var_name = Var.name.__set__
 _abs_binder_names = Abs._binder_names.__set__
@@ -590,9 +598,9 @@ def mk_app(head: Term, args: tuple[Term, ...]) -> Term:
     """App that stays canonical; with no arguments it is just the head."""
     if not args:
         return head
-    if isinstance(head, App):
-        return App(head.head, head.args + args)
-    return App(head, args)
+    if type(head) is App:
+        return new_app(head.head, head.args + args)
+    return new_app(head, args)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

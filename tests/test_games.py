@@ -858,6 +858,7 @@ def test_hot_functions_make_no_cells():
         reduction._Reducer.step,
         syntax.Abs.__new__,
         syntax.App.__new__,
+        syntax.new_app,
         safety.eta_types,
         games.enumerate_traversals,
         games.uncover,
@@ -1023,6 +1024,24 @@ def test_checked_term_not_typed_again_for_its_tree_or_eta_long(monkeypatch):
             modes.clear()
             build(env, term)
             assert modes == [safety._ETA], (src, build.__name__)
+
+
+def test_eta_long_keeps_its_type_on_a_closed_result(monkeypatch):
+    modes = counted_walks(monkeypatch)
+    for src in (r"\f:(o->o)->o. f", r"\g:(o->o)->o f:o->o. g f", r"(\x:o->o. x) (\y:o. y)"):
+        modes.clear()
+        once = eta_long({}, eta_long({}, parse(src)))
+        assert modes == [safety._ETA], src
+        assert once.eta_type is simple_type_of({}, copy_term(once))
+        assert eta_types({}, copy_term(once))[2] is None
+        assert eta_long({}, once) is once
+    # typed in an environment, the result may be open and keeps nothing
+    env = parse_env("f:(o->o)->o")
+    modes.clear()
+    once = eta_long(env, parse("f"))
+    assert once.eta_type is None
+    eta_long(env, once)
+    assert modes == [safety._ETA, safety._ETA]
 
 
 def test_engine_records_equal_public_constructions_and_stay_frozen():

@@ -87,6 +87,25 @@ def test_formula_size():
 
 
 names = st.sampled_from(("x", "y", "z"))
+def _reference_formula_repr(f):
+    """The dataclass repr the explicit-stack one replaced."""
+    if isinstance(f, BoolVar):
+        return f"BoolVar(name={f.name!r})"
+    if isinstance(f, Not):
+        return f"Not(operand={_reference_formula_repr(f.operand)})"
+    left, right = _reference_formula_repr(f.left), _reference_formula_repr(f.right)
+    return f"{type(f).__name__}(left={left}, right={right})"
+
+
+def _rebuilt(f):
+    """A copy of `f` that shares no node with it."""
+    if isinstance(f, BoolVar):
+        return BoolVar(f.name)
+    if isinstance(f, Not):
+        return Not(_rebuilt(f.operand))
+    return type(f)(_rebuilt(f.left), _rebuilt(f.right))
+
+
 formulas = st.recursive(
     st.builds(BoolVar, names),
     lambda sub: st.one_of(
@@ -188,6 +207,21 @@ def test_formula_walks_match_the_recursive_references(f):
         assert formula_text(f, level) == _reference_formula_text(f, level)
 
 
+@hyp.given(formulas, formulas)
+def test_formula_repr_eq_and_hash_match_a_dataclass(f, g):
+    assert repr(f) == _reference_formula_repr(f)
+    assert repr(QBF(((Quantifier.FORALL, "x"), (Quantifier.FORALL, "y"), (Quantifier.FORALL, "z")), f)).endswith(
+        f"matrix={_reference_formula_repr(f)})"
+    )
+    copy = _rebuilt(f)
+    assert copy == f and hash(copy) == hash(f) and not copy != f
+    same = repr(f) == repr(g)  # the fields spell the whole formula
+    assert (f == g) is same and (f != g) is not same
+    if same:
+        assert hash(f) == hash(g)
+    assert f != repr(f)  # no other class compares equal
+
+
 def test_deep_formula_at_default_recursion_limit():
     # !(y & !(x & !(y & ... z))), 3,000 connective pairs deep, built from AST nodes
     n = 3_000
@@ -202,3 +236,22 @@ def test_deep_formula_at_default_recursion_limit():
     assert size == 3 + 3 * n + 1
     matrix = "".join(f"!({'xy'[i % 2]} & " for i in reversed(range(n))) + "z" + ")" * n
     assert text == "forall x. exists y. forall z. " + matrix
+
+
+def test_deep_formula_repr_eq_and_hash_at_default_recursion_limit():
+    # a 3,000-long & chain, left-nested as the parser builds it
+    n = 3_000
+    chains = []
+    for _ in range(2):
+        f = BoolVar("x")
+        for i in range(n):
+            f = And(f, Not(BoolVar("xy"[i % 2])))
+        chains.append(f)
+    a, b = chains
+    with recursion_limit(1_000):
+        text = repr(a)
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert a != And(a.left, BoolVar("x"))
+        hash(QBF(((Quantifier.FORALL, "x"), (Quantifier.EXISTS, "y")), a))
+    atoms = "".join(f", right=Not(operand=BoolVar(name='{'xy'[i % 2]}')))" for i in range(n))
+    assert text == "And(left=" * n + "BoolVar(name='x')" + atoms

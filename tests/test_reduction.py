@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import reduce
 from typing import Optional
 
@@ -723,9 +724,11 @@ def single_steps(monkeypatch):
 
 
 def test_block_falls_back_where_a_step_renames(single_steps):
-    # the first step substitutes y under the block's own y: it is renamed
+    # the first step substitutes y under the block's own y, which it
+    # renames; the second step consumes the renamed binder, so the block
+    # gives what the two steps give and is taken in one walk
     assert _normalize_counted(RENAME_WITNESS)[1] == 2
-    assert len(single_steps) == 2
+    assert len(single_steps) == 0
     chain = list(_reference_sequence(RENAME_WITNESS, Strategy.PLAIN))
     assert chain[1] == parse(r"\f:o->o->o y:o b:o. (\y'1:o. f y y'1) b")
     assert chain[2] == parse(r"\f:o->o->o y:o b:o. f y b")
@@ -733,6 +736,27 @@ def test_block_falls_back_where_a_step_renames(single_steps):
     # here an inner binder of the body is renamed instead
     t = parse(r"(\x:o y:o. f (\z:o. x) y) z b")
     assert normalize(t) == parse(r"f (\z'1:o. z) b")
+    _assert_driver_matches_reference(t)
+
+
+def test_block_falls_back_where_a_step_renames_a_binder_it_leaves(single_steps):
+    # y is renamed by the first step and not consumed: it stays in the result
+    t = parse(r"\f:o->o->o->o y:o a:o. (\x:o w:o y:o. f x w y) y a")
+    assert _normalize_counted(t) == (parse(r"\f:o->o->o->o y:o a:o y'1:o. f y a y'1"), 2)
+    assert len(single_steps) == 2
+    _assert_driver_matches_reference(t)
+
+
+def test_block_falls_back_where_a_rename_meets_an_inner_binder(single_steps):
+    # the first step renames the block's y to y'1, which an inner binder of
+    # the body already names: that binder is renamed in turn, so the steps
+    # end at \y'1'1 where one walk would keep \y'1
+    t = parse(r"\f:o->(o->o)->o y:o b:o. (\x:o y:o. f x (\y'1:o. y)) y b")
+    chain = list(_reference_sequence(t, Strategy.PLAIN))
+    assert chain[1] == parse(r"\f:o->(o->o)->o y:o b:o. (\y'1:o. f y (\y'1'1:o. y'1)) b")
+    assert chain[2] == parse(r"\f:o->(o->o)->o y:o b:o. f y (\y'1'1:o. b)")
+    assert _normalize_counted(t) == (chain[2], 2)
+    assert len(single_steps) == 2
     _assert_driver_matches_reference(t)
 
 
@@ -836,6 +860,75 @@ def block_redexes(draw):
 )
 def test_driver_matches_reference_on_block_redexes(t, budget):
     _assert_driver_matches_reference(t, budget)
+
+
+# Seeded raw terms whose redex blocks have three binders over a pool of
+# three or four names, with bare names as arguments, so that a step often
+# renames a later binder of its block.  Inner binders also take the primed
+# names (x'1, ...) such a rename picks.  The driver must match the
+# reference on each, and the counts pin how often a block is taken where
+# one of its steps renames a binder the block consumes, and how often one
+# is stepped because such a rename would meet an inner binder.
+
+_RAW_POOLS = (("x", "y", "z"), ("x", "y", "z", "w"), ("x", "y", "z", "y'1"))
+
+
+def _raw_term(rng, pool, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        return Var(rng.choice(pool))
+    if r < 0.6:
+        primes = sorted(set(pool) | {n + "'1" for n in pool if "'" not in n})
+        return _ground_block(rng.sample(primes, rng.randint(1, 2)), _raw_term(rng, pool, depth - 1))
+    if r < 0.75:
+        return _raw_block(rng, pool, depth - 1)
+    args = tuple(_raw_term(rng, pool, depth - 1) for _ in range(rng.randint(1, 2)))
+    return App(Var(rng.choice(pool)), args)
+
+
+def _raw_block(rng, pool, depth):
+    head = _ground_block(rng.sample(pool, 3), _raw_term(rng, pool, depth))
+    return App(head, tuple(_raw_term(rng, pool, depth - 2) for _ in range(rng.randint(2, 4))))
+
+
+def _a_step_renames(head: Abs, args) -> bool:
+    """Whether one of the block's one-binder steps renames a later binder."""
+    names = head.binder_names
+    j = min(len(names), len(args))
+    free = head.body.free_names
+    return any(
+        names[i] in free and not args[i].free_names.isdisjoint(names[i + 1 :])
+        for i in range(min(j, len(names) - 1))
+    )
+
+
+def test_driver_matches_reference_on_seeded_raw_blocks(monkeypatch):
+    seen = {"taken": 0, "taken, a step renames": 0, "stepped": 0, "stepped, a rename meets a binder": 0}
+
+    def spied(head, args, room=None):
+        out = _contract_block(head, args, room)
+        if room is not None:
+            if out is not None:
+                seen["taken"] += 1
+                seen["taken, a step renames"] += _a_step_renames(head, args)
+            else:
+                seen["stepped"] += 1
+                mapping = dict(zip(head.binder_names, args))
+                met = _subst(head.body, mapping, None)[1] - _subst(head.body, mapping, False)[1]
+                seen["stepped, a rename meets a binder"] += bool(met)
+        return out
+
+    monkeypatch.setattr("safelc.reduction._contract_block", spied)
+    rng = random.Random(11)
+    budget = ReductionBudget(max_steps=30, max_term_size=300)
+    for i in range(1_500):
+        _assert_driver_matches_reference(_raw_block(rng, _RAW_POOLS[i % 3], 3), budget)
+    assert seen == {
+        "taken": 3_628,
+        "taken, a step renames": 622,
+        "stepped": 2_686,
+        "stepped, a rename meets a binder": 148,
+    }
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from safelc.corpus import HAND_CORPUS, generate_safe_corpus
 from safelc.encodings import church_nat, compile_polynomial, parse_polynomial
 from safelc.games import build_computation_tree
-from safelc.reduction import Strategy, normalize
+from safelc.reduction import Strategy, normalize, reduction_sequence
 from safelc.safety import eta_long
 from safelc.syntax import (
     _BLOCKS,
@@ -38,6 +38,7 @@ from safelc.syntax import (
     arrow,
     canonicalize,
     fresh_names,
+    new_app,
     mk_abs,
     parse,
     parse_env,
@@ -263,6 +264,10 @@ def test_no_build_class_leaks_from_any_construction_path():
         build_computation_tree({}, parse(r"\f:(o->o)->o. f")).term,
         church_nat(3),
         poly,
+        # the kernel's own App builds: climbing, substitution, leftover arguments
+        *reduction_sequence(parse(r"f ((\x:o. x) a) ((\y:o. g y y) b) ((\u:o->o v:o. u) h c d)")),
+        normalize(parse(r"(\x:o->o->o y:o. x y) (\u:o v:o. f v u) a b"), Strategy.SAFE),
+        new_app(Var("f"), (Var("a"), church_nat(2))),
     ]
     made += [copy.copy(t) for t in made] + [copy.deepcopy(t) for t in made]
     made += [pickle.loads(pickle.dumps(t)) for t in made]
@@ -289,6 +294,24 @@ def test_no_build_class_leaks_from_any_construction_path():
     # tracebacks keep alive hold no half-built node
     assert all(e.traceback for e in (no_binder, duplicate, no_arg))
     assert not any(type(o) is _BuildAbs or type(o) is _BuildApp for o in gc.get_objects())
+
+
+def test_new_app_builds_what_app_builds():
+    pairs = [(Var("f"), (Var("a"),)), (App(Var("f"), (Var("a"),)), (Var("b"), Var("c")))]
+    population = [e.term for e in HAND_CORPUS] + list(generate_safe_corpus(200, 3))
+    for t in population:
+        pairs += [(u.head, u.args) for u in subterms(t) if type(u) is App]
+        pairs.append((t, (t,)))
+    for head, args in pairs:
+        built, public = new_app(head, args), App(head, args)
+        assert type(built) is App and built == public and hash(built) == hash(public)
+        assert (built.size, built.canonical) == (public.size, public.canonical)
+        assert repr(built) == repr(public)
+        assert pickle.dumps(built) == pickle.dumps(public)
+        assert built.head is head and built.args is args
+        assert (built.closed_type, built.eta_type, built._free_names) == (None, None, None)
+        with pytest.raises(FrozenInstanceError):
+            built.head = None
 
 
 def test_build_classes_keep_objects_setattr_and_delattr():
